@@ -23,11 +23,11 @@
 // rows/series the paper plots; -table additionally prints the batch
 // occupancy and elimination-rate counters the agg engine records for
 // the deque, funnel, pool and queue next to the paper's SEC stack degrees
-// (the pool rows carry the put-steal and shard-scaling inheritance
-// counters of the bidirectional load-balancing work).
+// (the pool rows carry the put-steal counters of the bidirectional
+// load-balancing work).
 //
 // With -json, each figure or table is also written as one
-// machine-readable BENCH_<fig>.json document (schema secbench/v9; see
+// machine-readable BENCH_<fig>.json document (schema secbench/v10; see
 // internal/harness/json.go for the version history).
 package main
 
@@ -366,7 +366,7 @@ func figAggSweep(title string, m harness.Machine, workloads []harness.Workload, 
 
 // figAdaptive renders the contention-adaptivity ablation (not a paper
 // figure; see DESIGN.md §8): stock SEC against SEC with the solo fast
-// path / shard scaling, with batch recycling stacked on top, and the
+// path, with batch recycling stacked on top, and the
 // Treiber baseline the fast path degenerates to, across the update
 // mixes. The low-thread rungs are where adaptivity must close the gap
 // to TRB; the high rungs are where it must not cost anything.

@@ -114,8 +114,7 @@ func WithMetrics() Option { return config.WithMetrics() }
 // WithAdaptive toggles the solo fast path: when an end's recent batch
 // degree is ~1, an operation first tries the central lock with one
 // TryLock instead of paying the batch protocol, falling back to the
-// full protocol when the lock is contended. (Shard scaling does not
-// apply to the deque - its two aggregators are its ends.)
+// full protocol when the lock is contended.
 func WithAdaptive(on bool) Option { return config.WithAdaptive(on) }
 
 // WithBatchRecycling toggles batch recycling: frozen batches (slot

@@ -25,10 +25,10 @@
 // instantiation table.
 //
 // Beyond the paper, the engine is contention-adaptive (DESIGN.md
-// §8-§10): a solo fast path and dynamic shard scaling with controller
-// inheritance adapt the batching machinery to the observed load, batch
-// recycling and epoch-batched hazard reclamation make the steady-state
-// hot paths allocation-free, and single-CAS steal primitives (TryPush,
+// §8-§10): a solo fast path and an adaptive freezer backoff adapt the
+// batching machinery to the observed load, batch recycling and
+// epoch-batched hazard reclamation make the steady-state hot paths
+// allocation-free, and single-CAS steal primitives (TryPush,
 // TryPop) give the pool bidirectional cross-shard load balancing - Get
 // steals from quiet shards, Put overflows away from saturated ones.
 //

@@ -93,9 +93,8 @@ func WithMetrics() Option { return config.WithMetrics() }
 // WithAdaptive toggles contention adaptivity: when an aggregator's
 // recent batch degree is ~1, a FetchAdd applies directly with one CAS
 // attempt on the central counter (skipping announcement, freeze and
-// delegation entirely), falls back to the full protocol when the CAS
-// is contended, and the effective aggregator count scales between 1
-// and WithAggregators on the observed degree.
+// delegation entirely) and falls back to the full protocol when the
+// CAS is contended.
 func WithAdaptive(on bool) Option { return config.WithAdaptive(on) }
 
 // WithBatchRecycling toggles batch recycling: frozen batches (slot

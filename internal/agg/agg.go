@@ -55,8 +55,10 @@
 //
 // The full batch lifecycle is worth paying only when there is something
 // to batch; the paper's own evaluation shows SEC trailing CAS-per-op
-// baselines until contention fills batches (see DESIGN.md §8). Three
-// optional mechanisms adapt the machinery to the observed load:
+// baselines until contention fills batches (see DESIGN.md §8). Optional
+// mechanisms adapt the machinery to the observed load. The aggregator
+// count itself never changes: a partitioned engine always runs exactly
+// Spec.Aggregators shards, as in the paper.
 //
 //   - Batch recycling (Spec.Recycle): frozen batches retire to a
 //     per-aggregator free list and are reused - slot arrays, payloads
@@ -73,11 +75,6 @@
 //     fresh-batch install; for the stack this degenerates to one
 //     Treiber-style CAS - and falls back to the full protocol when the
 //     attempt detects contention.
-//   - Dynamic shard scaling (Spec.Adaptive, partitioned engines): the
-//     effective aggregator count grows and shrinks between 1 and
-//     Spec.Aggregators on the same degree signal, remapping AggOf
-//     through an atomic epoch so sparse load consolidates into batches
-//     and dense load spreads across shards.
 //   - Adaptive freezer backoff (Spec.AdaptiveSpin): the freezer's
 //     batch-growing pre-freeze spin becomes a per-aggregator controller
 //     driven by the same degree EWMA - it grows toward the configured
@@ -97,17 +94,10 @@
 //     announcement entirely - the pool's peek-then-steal probe of
 //     foreign shards on the Get side, and its Put-overflow valve on
 //     the push side.
-//   - Per-aggregator state inheritance on dynamic shard scaling: when
-//     the effective shard count grows, the newly-live aggregator's
-//     spin controller and batch-degree EWMA are seeded from the mean
-//     of the surviving aggregators instead of whatever stale state the
-//     shard retired with, so sessions remapped onto it do not pay a
-//     spin (or mode) tuned for a load that no longer exists.
 package agg
 
 import (
 	"errors"
-	"sync"
 	"sync/atomic"
 
 	"secstack/internal/backoff"
@@ -255,7 +245,6 @@ type aggCtl struct {
 	_ [pad.CacheLine - 3*8]byte
 
 	// Second line: per-event counters.
-	freezes  atomic.Int64 // frozen batches; drives resize checks
 	fastHits atomic.Int64 // solo attempts that applied directly
 	fastMiss atomic.Int64 // solo attempts that hit contention
 
@@ -266,12 +255,7 @@ type aggCtl struct {
 	reclaimScans atomic.Int64
 	reclaimSkips atomic.Int64
 
-	// inherits counts how many times this aggregator went live through
-	// a shard-scaling grow and had its controller state seeded from the
-	// surviving aggregators' mean.
-	inherits atomic.Int64
-
-	_ [pad.CacheLine - 6*8]byte
+	_ [pad.CacheLine - 4*8]byte
 }
 
 const (
@@ -295,13 +279,6 @@ const (
 	// few operations.
 	soloObsHit  = degreeUnit
 	soloObsMiss = 4 * degreeUnit
-
-	// resizePeriod is how many freezes an aggregator performs between
-	// shard-scaling checks; growDegree/shrinkDegree are the mean-EWMA
-	// thresholds that grow or shrink the effective aggregator count.
-	resizePeriod = 64
-	growDegree   = 6 * degreeUnit
-	shrinkDegree = 2 * degreeUnit
 
 	// maxFree bounds each aggregator's recycled-batch free list; excess
 	// quiescent batches drop to the garbage collector.
@@ -384,8 +361,7 @@ func (hz *HazardSlot[S, P]) Clear() {
 // to at least 1; MinBatch defaults to 4.
 type Spec[S, P any] struct {
 	// Aggregators is K, the number of shards. The deque instantiates
-	// one aggregator per end. Under Adaptive this is the ceiling of the
-	// effective shard count.
+	// one aggregator per end.
 	Aggregators int
 
 	// MaxThreads bounds concurrently live sessions; it also caps batch
@@ -409,13 +385,11 @@ type Spec[S, P any] struct {
 	MinBatch int
 
 	// Partitioned selects how sessions map to aggregators. True (stack,
-	// funnel): session tid mod the effective aggregator count fixes the
-	// aggregator, and batches are sized for ceil(live/K) threads. False
-	// (deque): any session may announce on any aggregator - ends are
-	// chosen per operation - so batches are sized for every live
-	// session and capped at MaxThreads. Dynamic shard scaling applies
-	// only to partitioned engines; an unpartitioned engine's
-	// aggregators are semantic (the deque's ends).
+	// funnel): session tid mod K fixes the aggregator, and batches are
+	// sized for ceil(live/K) threads. False (deque): any session may
+	// announce on any aggregator - ends are chosen per operation - so
+	// batches are sized for every live session and capped at
+	// MaxThreads.
 	Partitioned bool
 
 	// SingleSided marks engines whose structures announce on the push
@@ -429,8 +403,7 @@ type Spec[S, P any] struct {
 	Recycle bool
 
 	// Adaptive enables the solo fast path (when TrySoloPush/TrySoloPop
-	// are provided) and, for partitioned engines with Aggregators > 1,
-	// dynamic shard scaling.
+	// are provided).
 	Adaptive bool
 
 	// Eliminate is the eliminator; nil defaults to PairElim.
@@ -505,17 +478,6 @@ type Engine[S, P any] struct {
 	soloPushOn bool
 	soloPopOn  bool
 
-	// effK is the effective aggregator count in [1, len(aggs)];
-	// scaleEpoch increments on every resize so observers (and tests)
-	// can detect remappings. Non-adaptive engines pin effK = len(aggs).
-	// resizeMu serializes resizes (rare: at most one check per
-	// resizePeriod freezes per aggregator), so a grow's controller
-	// seeding cannot race another grow into clobbering a shard that
-	// just went live; freezers never block on it (TryLock).
-	effK       atomic.Int32
-	scaleEpoch atomic.Uint64
-	resizeMu   sync.Mutex
-
 	// hazards[id] is session id's published batch reference; solo[id]
 	// its scratch batch. Both indexed by session id, each entry owned
 	// by the session holding that id (the tid free list's CAS handoff
@@ -562,7 +524,6 @@ func New[S, P any](spec Spec[S, P]) *Engine[S, P] {
 	}
 	e.soloPushOn = e.adaptive && e.trySoloPush != nil
 	e.soloPopOn = e.adaptive && e.trySoloPop != nil
-	e.effK.Store(int32(spec.Aggregators))
 	if e.recycle {
 		e.hazards = make([]HazardSlot[S, P], spec.MaxThreads)
 	}
@@ -597,14 +558,14 @@ func New[S, P any](spec Spec[S, P]) *Engine[S, P] {
 }
 
 // sizeBatch is the live-session batch sizing rule: size for the
-// sessions currently live (per effective aggregator when partitioned),
+// sessions currently live (per aggregator when partitioned),
 // floored at MinBatch and capped at each aggregator's worst-case share
 // of MaxThreads.
 func (e *Engine[S, P]) sizeBatch() int {
 	p := e.tids.InUse()
 	cap := e.maxThreads
 	if e.partitioned {
-		k := int(e.effK.Load())
+		k := len(e.aggs)
 		p = (p + k - 1) / k
 		cap = (e.maxThreads + k - 1) / k
 	}
@@ -825,23 +786,13 @@ func (e *Engine[S, P]) SetDoneCadence(id, k int) {
 }
 
 // AggOf maps a session id to its fixed aggregator (partitioned engines
-// assign round-robin over the effective aggregator count, giving the
-// even distribution the paper prescribes; unpartitioned engines have no
-// fixed assignment and ops name their aggregator directly). Under
-// dynamic shard scaling the mapping changes with the scale epoch, so
-// handles consult it per operation rather than caching the result.
-func (e *Engine[S, P]) AggOf(id int) int { return id % int(e.effK.Load()) }
+// assign round-robin over the K aggregators, giving the even
+// distribution the paper prescribes; unpartitioned engines have no
+// fixed assignment and ops name their aggregator directly).
+func (e *Engine[S, P]) AggOf(id int) int { return id % len(e.aggs) }
 
-// Aggregators reports K, the configured shard ceiling.
+// Aggregators reports K, the number of shards.
 func (e *Engine[S, P]) Aggregators() int { return len(e.aggs) }
-
-// EffectiveAggregators reports the current effective shard count in
-// [1, Aggregators]; fixed at Aggregators when Adaptive is off.
-func (e *Engine[S, P]) EffectiveAggregators() int { return int(e.effK.Load()) }
-
-// ScaleEpoch reports how many times the effective shard count has been
-// remapped.
-func (e *Engine[S, P]) ScaleEpoch() uint64 { return e.scaleEpoch.Load() }
 
 // FastPath reports aggregator agg's solo fast-path hit and miss
 // counts.
@@ -945,94 +896,13 @@ func (e *Engine[S, P]) spinFor(agg int) int {
 	return e.freezerSpin
 }
 
-// maybeResize adjusts the effective aggregator count on the mean
-// degree EWMA of the currently active shards: saturated batches grow
-// toward Spec.Aggregators, near-empty ones consolidate toward 1 so the
-// remaining shards see enough load to batch. A grow seeds the
-// newly-live aggregator's controller state from the survivors before
-// publishing the new count, so remapped sessions never observe the
-// stale tuning the shard retired with. Resizes are serialized by
-// resizeMu - TryLock, so a freezer whose check collides with a
-// resize in flight simply skips it (its degree signal is stale by
-// definition then) rather than wait.
-func (e *Engine[S, P]) maybeResize() {
-	if !e.resizeMu.TryLock() {
-		return
-	}
-	defer e.resizeMu.Unlock()
-	k := int(e.effK.Load())
-	if k < 1 || k > len(e.aggs) {
-		return
-	}
-	var sum int64
-	for i := 0; i < k; i++ {
-		sum += e.ctl[i].ewma.Load()
-	}
-	mean := sum / int64(k)
-	switch {
-	case mean >= growDegree && k < len(e.aggs):
-		e.inheritCtl(k)
-		e.ctl[k].inherits.Add(1)
-		e.m.RecordSpinInherit(k)
-		e.effK.Store(int32(k + 1))
-		e.scaleEpoch.Add(1)
-	case mean <= shrinkDegree && k > 1:
-		e.effK.Store(int32(k - 1))
-		e.scaleEpoch.Add(1)
-	}
-}
-
-// inheritCtl seeds aggregator idx's adaptivity state - batch-degree
-// EWMA, solo/batched mode, and (under adaptive spin) the effective
-// pre-freeze backoff - from the mean of the k currently live
-// aggregators. Without it, a shard going live again after a shrink
-// would resume with whatever EWMA and spin it retired with (or, on its
-// first activation, the configured ceiling): sessions remapped onto it
-// by the scale epoch would pay a backoff tuned for a load that no
-// longer exists until enough of their own freezes retuned it. Called
-// only under resizeMu, before the effK store that makes the shard
-// reachable, so seeding can never touch a live shard's state.
-func (e *Engine[S, P]) inheritCtl(k int) {
-	var ewmaSum, spinSum int64
-	for i := 0; i < k; i++ {
-		ewmaSum += e.ctl[i].ewma.Load()
-		spinSum += e.ctl[i].spin.Load()
-	}
-	c := &e.ctl[k]
-	mean := ewmaSum / int64(k)
-	c.ewma.Store(mean)
-	if e.adaptiveSpin {
-		c.spin.Store(spinSum / int64(k))
-	}
-	// Apply the solo-mode hysteresis to the inherited degree so the mode
-	// bit is consistent with the seeded EWMA; inside the band the shard
-	// keeps its previous mode, exactly as a live shard would.
-	switch {
-	case mean <= soloEnterMax:
-		if e.trySoloPush != nil {
-			c.mode.Store(modeSolo)
-		}
-	case mean >= soloExitMin:
-		c.mode.Store(modeBatched)
-	}
-}
-
-// Inherits reports how many times aggregator agg went live through a
-// shard-scaling grow with controller state seeded from the surviving
-// aggregators (diagnostics and tests).
-func (e *Engine[S, P]) Inherits(agg int) int64 { return e.ctl[agg].inherits.Load() }
-
 // observeFreeze records a frozen batch's degree into the adaptivity
-// signal, retunes the spin controller, and periodically runs the
-// shard-scaling check.
+// signal and retunes the spin controller.
 func (e *Engine[S, P]) observeFreeze(agg, ops int) {
 	c := &e.ctl[agg]
 	e.observe(c, int64(ops)*degreeUnit)
 	if e.adaptiveSpin {
 		e.updateSpin(c)
-	}
-	if e.adaptive && c.freezes.Add(1)%resizePeriod == 0 && e.partitioned && len(e.aggs) > 1 {
-		e.maybeResize()
 	}
 }
 
@@ -1149,8 +1019,7 @@ func (e *Engine[S, P]) SoloMode(agg int) bool { return e.soloMode(agg) }
 
 // DegreeEWMA reports aggregator agg's batch-degree EWMA in operations
 // per batch - the same contention estimate the engine's own mode
-// hysteresis and shard scaling read, converted out of its internal
-// fixed point.
+// hysteresis reads, converted out of its internal fixed point.
 func (e *Engine[S, P]) DegreeEWMA(agg int) float64 {
 	return float64(e.ctl[agg].ewma.Load()) / degreeUnit
 }

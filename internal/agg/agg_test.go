@@ -50,6 +50,34 @@ func TestBatchSizingPartitioned(t *testing.T) {
 	if got := e.NewBatch().Cap(); got != 5 {
 		t.Fatalf("batch size with 10 sessions = %d, want 5", got)
 	}
+
+	// K is fixed under Adaptive too: hundreds of degree-1 freezes leave
+	// the session mapping and the per-aggregator sizing on all 4 shards.
+	spec := noopSpec(4, 64, true)
+	spec.Adaptive = true
+	e = New(spec)
+	for i := 0; i < 20; i++ {
+		if _, err := e.Register(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	v := int64(1)
+	for i := 0; i < 512; i++ {
+		e.Push(0, e.AggOf(0), &v)
+		e.Done(0)
+	}
+	if got := e.DegreeEWMA(0); got != 1 {
+		t.Fatalf("degree EWMA after singleton freezes = %.2f, want 1", got)
+	}
+	for id := 0; id < 64; id++ {
+		if got := e.AggOf(id); got != id%4 {
+			t.Fatalf("AggOf(%d) = %d after degree-1 freezes, want %d", id, got, id%4)
+		}
+	}
+	// 20 sessions over 4 aggregators -> 5 per aggregator.
+	if got := e.NewBatch().Cap(); got != 5 {
+		t.Fatalf("adaptive batch size with 20 sessions = %d, want 5", got)
+	}
 }
 
 func TestBatchSizingUnpartitioned(t *testing.T) {
@@ -677,67 +705,10 @@ func TestSoloFallbackOnContention(t *testing.T) {
 	}
 }
 
-// TestShardScaling exercises the effective-aggregator resize rule
-// directly: a sustained high mean degree grows the shard count toward
-// the configured ceiling, a low one shrinks it toward 1, and every
-// remap bumps the scale epoch and keeps AggOf within range.
-func TestShardScaling(t *testing.T) {
-	e := New(noopSpecAdaptive(4, 64))
-	if got := e.EffectiveAggregators(); got != 4 {
-		t.Fatalf("initial effective aggregators = %d, want configured 4", got)
-	}
-	// Sustained near-empty batches: consolidate to one shard.
-	for i := 0; i < 16; i++ {
-		for a := 0; a < 4; a++ {
-			e.ctl[a].ewma.Store(degreeUnit) // degree 1.0
-		}
-		e.maybeResize()
-	}
-	if got := e.EffectiveAggregators(); got != 1 {
-		t.Fatalf("effective aggregators after low-degree runs = %d, want 1", got)
-	}
-	epochAfterShrink := e.ScaleEpoch()
-	if epochAfterShrink != 3 {
-		t.Fatalf("scale epoch = %d after 4->1, want 3", epochAfterShrink)
-	}
-	for id := 0; id < 64; id += 7 {
-		if a := e.AggOf(id); a != 0 {
-			t.Fatalf("AggOf(%d) = %d with one effective shard", id, a)
-		}
-	}
-	// Sustained saturated batches: grow back to the ceiling, not past.
-	for i := 0; i < 16; i++ {
-		for a := 0; a < 4; a++ {
-			e.ctl[a].ewma.Store(16 * degreeUnit)
-		}
-		e.maybeResize()
-	}
-	if got := e.EffectiveAggregators(); got != 4 {
-		t.Fatalf("effective aggregators after high-degree runs = %d, want ceiling 4", got)
-	}
-	if got := e.ScaleEpoch(); got != epochAfterShrink+3 {
-		t.Fatalf("scale epoch = %d after regrow, want %d", got, epochAfterShrink+3)
-	}
-	for id := 0; id < 64; id += 7 {
-		if a := e.AggOf(id); a < 0 || a >= 4 {
-			t.Fatalf("AggOf(%d) = %d out of range", id, a)
-		}
-	}
-}
-
-// noopSpecAdaptive is noopSpec with adaptivity on (and a solo push so
-// solo mode is reachable).
-func noopSpecAdaptive(aggs, maxThreads int) Spec[int64, struct{}] {
-	s := noopSpec(aggs, maxThreads, true)
-	s.Adaptive = true
-	s.TrySoloPush = func(int, *Batch[int64, struct{}]) bool { return true }
-	return s
-}
-
 // TestAdaptiveRecyclingStress drives the full adaptive stack - solo
 // attempts that genuinely succeed and fail under contention, fallback
-// into the batch protocol, batch recycling with hazard reclamation,
-// dynamic shard scaling - against a conservation invariant: with the
+// into the batch protocol, batch recycling with hazard reclamation -
+// against a conservation invariant: with the
 // identity eliminator every push adds 1 and every pop subtracts 1 from
 // a shared counter, so after balanced workloads the counter is 0. Run
 // with -race.
@@ -795,9 +766,6 @@ func TestAdaptiveRecyclingStress(t *testing.T) {
 	wg.Wait()
 	if got := state.Load(); got != 0 {
 		t.Fatalf("conservation violated: counter = %d after balanced ops", got)
-	}
-	if k := e.EffectiveAggregators(); k < 1 || k > 3 {
-		t.Fatalf("effective aggregators = %d out of [1,3]", k)
 	}
 }
 
@@ -964,113 +932,5 @@ func TestTryPushWithoutSoloApplier(t *testing.T) {
 	v := int64(1)
 	if _, ok := e.TryPush(id, 0, &v); ok {
 		t.Fatal("TryPush applied on an engine without a solo push applier")
-	}
-}
-
-// TestSpinInheritanceOnResize pins the controller-seeding rule of
-// dynamic shard scaling: when the effective shard count grows, the
-// newly-live aggregator's spin controller and degree EWMA must be
-// seeded from the mean of the surviving aggregators - not resume from
-// the stale values the shard retired with (or the configured ceiling) -
-// and the mode bit must be consistent with the inherited degree.
-func TestSpinInheritanceOnResize(t *testing.T) {
-	const ceiling = 1024
-	m := metrics.NewSEC(4)
-	spec := noopSpecAdaptive(4, 64)
-	spec.FreezerSpin = ceiling
-	spec.AdaptiveSpin = true
-	spec.Metrics = m
-	e := New(spec)
-
-	// Consolidate to one shard: sustained near-empty batches.
-	for i := 0; i < 16; i++ {
-		for a := 0; a < 4; a++ {
-			e.ctl[a].ewma.Store(degreeUnit)
-		}
-		e.maybeResize()
-	}
-	if got := e.EffectiveAggregators(); got != 1 {
-		t.Fatalf("effective aggregators after low-degree runs = %d, want 1", got)
-	}
-
-	// Poison the dormant shard with the stale state the pre-inheritance
-	// engine would have resumed with, and give the survivor a settled
-	// mid-range tuning.
-	e.ctl[1].spin.Store(ceiling)
-	e.ctl[1].ewma.Store(degreeUnit)
-	e.ctl[1].mode.Store(modeSolo)
-	const survivorSpin, survivorDeg = 96, 8 * degreeUnit
-	e.ctl[0].spin.Store(survivorSpin)
-	e.ctl[0].ewma.Store(survivorDeg)
-	e.ctl[0].mode.Store(modeBatched)
-
-	e.maybeResize() // mean degree 8.0 >= growDegree: grow 1 -> 2
-	if got := e.EffectiveAggregators(); got != 2 {
-		t.Fatalf("effective aggregators after high-degree run = %d, want 2", got)
-	}
-	if got := e.EffectiveSpin(1); got != survivorSpin {
-		t.Fatalf("newly-live shard's spin = %d, want inherited mean %d (stale was %d)",
-			got, survivorSpin, ceiling)
-	}
-	if got := e.ctl[1].ewma.Load(); got != survivorDeg {
-		t.Fatalf("newly-live shard's EWMA = %d, want inherited mean %d", got, survivorDeg)
-	}
-	if e.soloMode(1) {
-		t.Fatal("newly-live shard kept stale solo mode despite inherited degree >= exit threshold")
-	}
-	if got := e.Inherits(1); got != 1 {
-		t.Fatalf("Inherits(1) = %d, want 1", got)
-	}
-	if got := m.Snapshot().SpinInherits; got != 1 {
-		t.Fatalf("metrics SpinInherits = %d, want 1", got)
-	}
-
-	// Grow 2 -> 3: the seed is the mean over both survivors.
-	e.ctl[0].spin.Store(64)
-	e.ctl[0].ewma.Store(8 * degreeUnit)
-	e.ctl[1].spin.Store(128)
-	e.ctl[1].ewma.Store(10 * degreeUnit)
-	e.ctl[2].spin.Store(ceiling) // stale
-	e.maybeResize()
-	if got := e.EffectiveAggregators(); got != 3 {
-		t.Fatalf("effective aggregators = %d, want 3", got)
-	}
-	if got := e.EffectiveSpin(2); got != 96 {
-		t.Fatalf("second grow seeded spin %d, want mean(64, 128) = 96", got)
-	}
-	if got := e.ctl[2].ewma.Load(); got != 9*degreeUnit {
-		t.Fatalf("second grow seeded EWMA %d, want mean %d", got, 9*degreeUnit)
-	}
-	if got := m.Snapshot().SpinInherits; got != 2 {
-		t.Fatalf("metrics SpinInherits = %d after two grows, want 2", got)
-	}
-}
-
-// TestSpinInheritanceSeedsSoloMode: a grow under a low inherited degree
-// (possible when the resize races a load drop) seeds solo mode, so the
-// new shard's first operations take the fast path its degree warrants.
-func TestSpinInheritanceSeedsSoloMode(t *testing.T) {
-	e := New(noopSpecAdaptive(2, 64))
-	if got := e.EffectiveAggregators(); got != 2 {
-		t.Fatalf("initial effective aggregators = %d, want 2", got)
-	}
-	// Shrink to 1, then poison the dormant shard's mode.
-	for i := 0; i < 8; i++ {
-		for a := 0; a < 2; a++ {
-			e.ctl[a].ewma.Store(degreeUnit)
-		}
-		e.maybeResize()
-	}
-	if got := e.EffectiveAggregators(); got != 1 {
-		t.Fatalf("effective aggregators = %d, want 1", got)
-	}
-	e.ctl[1].mode.Store(modeBatched)
-	// inheritCtl is what maybeResize runs on a grow; drive it directly
-	// with a low survivor degree (a grow immediately followed by a load
-	// drop) to pin the solo seeding branch.
-	e.ctl[0].ewma.Store(degreeUnit)
-	e.inheritCtl(1)
-	if !e.soloMode(1) {
-		t.Fatal("inherited degree ~1 did not seed solo mode")
 	}
 }

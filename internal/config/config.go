@@ -53,10 +53,9 @@ type Config struct {
 	// instead of fresh allocation.
 	Recycle bool
 
-	// Adaptive enables contention adaptivity in the batch-protocol
-	// structures (SEC stack, deque, funnel): the solo fast path when an
-	// aggregator's recent batch degree is ~1, and dynamic shard scaling
-	// between 1 and Aggregators for partitioned engines.
+	// Adaptive enables the solo fast path in the batch-protocol
+	// structures (SEC stack, deque, funnel, queue) when an aggregator's
+	// recent batch degree is ~1.
 	Adaptive bool
 
 	// BatchRecycle retires frozen batches to per-aggregator free lists
@@ -224,10 +223,10 @@ func WithRecycling() Option {
 	return func(c *Config) { c.Recycle = true }
 }
 
-// WithAdaptive toggles contention adaptivity in the batch-protocol
-// structures: the solo fast path (one direct apply when the recent
-// batch degree is ~1, falling back to the full protocol on contention)
-// and dynamic shard scaling between 1 and Aggregators.
+// WithAdaptive toggles the solo fast path in the batch-protocol
+// structures: one direct apply when the recent batch degree is ~1,
+// falling back to the full protocol on contention. The aggregator
+// count is fixed at Aggregators either way.
 func WithAdaptive(on bool) Option {
 	return func(c *Config) { c.Adaptive = on }
 }

@@ -114,11 +114,10 @@ type Options struct {
 	// counters behind the paper's Tables 1-3.
 	CollectMetrics bool
 
-	// Adaptive enables contention adaptivity: the solo fast path (a
-	// push or pop attempts one Treiber-style CAS directly when its
-	// aggregator's recent batch degree is ~1, falling back to the full
-	// batch protocol on contention) and dynamic shard scaling between 1
-	// and Aggregators. See DESIGN.md §8.
+	// Adaptive enables the solo fast path: a push or pop attempts one
+	// Treiber-style CAS directly when its aggregator's recent batch
+	// degree is ~1, falling back to the full batch protocol on
+	// contention. See DESIGN.md §8.
 	Adaptive bool
 
 	// BatchRecycle retires frozen batches to per-aggregator free lists
@@ -195,9 +194,7 @@ func (s *Stack[T]) resetChain(p *popChain[T]) {
 func (s *Stack[T]) Metrics() *metrics.SEC { return s.eng.Metrics() }
 
 // Handle is one goroutine's session on the stack: its thread id maps
-// to its aggregator (consulted per operation, since dynamic shard
-// scaling may remap it). Handles must not be shared between
-// goroutines.
+// to its aggregator. Handles must not be shared between goroutines.
 type Handle[T any] struct {
 	s      *Stack[T]
 	tid    int
@@ -540,19 +537,15 @@ func (s *Stack[T]) Len() int {
 // Aggregators reports K, for harness labeling.
 func (s *Stack[T]) Aggregators() int { return s.eng.Aggregators() }
 
-// EffectiveAggregators reports the current effective shard count
-// (equal to Aggregators unless Adaptive shard scaling shrank it).
-func (s *Stack[T]) EffectiveAggregators() int { return s.eng.EffectiveAggregators() }
-
 // RegisteredThreads reports how many handles are currently live
 // (registered and not yet closed).
 func (s *Stack[T]) RegisteredThreads() int { return s.eng.InUse() }
 
 // DegreeEWMA reports the mean batch-degree EWMA across the stack's
-// effective aggregators, in operations per batch - the per-shard
-// contention estimate the pool's elastic controller reads.
+// aggregators, in operations per batch - the per-shard contention
+// estimate the pool's elastic controller reads.
 func (s *Stack[T]) DegreeEWMA() float64 {
-	k := s.eng.EffectiveAggregators()
+	k := s.eng.Aggregators()
 	sum := 0.0
 	for i := 0; i < k; i++ {
 		sum += s.eng.DegreeEWMA(i)
@@ -560,12 +553,11 @@ func (s *Stack[T]) DegreeEWMA() float64 {
 	return sum / float64(k)
 }
 
-// Solo reports whether every effective aggregator currently runs the
-// solo fast path - the stack has seen no recent contention. Always
-// false when Adaptive is off.
+// Solo reports whether every aggregator currently runs the solo fast
+// path - the stack has seen no recent contention. Always false when
+// Adaptive is off.
 func (s *Stack[T]) Solo() bool {
-	k := s.eng.EffectiveAggregators()
-	for i := 0; i < k; i++ {
+	for i := 0; i < s.eng.Aggregators(); i++ {
 		if !s.eng.SoloMode(i) {
 			return false
 		}

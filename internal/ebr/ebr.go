@@ -13,7 +13,7 @@
 // The scheme is the classic three-epoch design. A global epoch counter
 // advances only when every thread currently inside a critical section
 // has announced the current epoch. Each handle keeps three limbo bags;
-// objects retired two epochs ago are moved to a free list when the
+// objects retired three epochs ago are moved to a free list when the
 // handle observes an epoch change.
 //
 // Like DEBRA (and unlike its neutralization-based successors), a thread
@@ -150,16 +150,18 @@ func (h *Handle[T]) Exit() {
 }
 
 // rotate adopts global epoch e: every bag whose retirement epoch is at
-// least two behind e is drained to the free list (an object retired at
-// epoch b can only be referenced by threads that announced b or b+1, so
-// once the global epoch reaches b+2 no critical section can still see
-// it). Because bag indices are epoch%3 and a bag sharing an index with
-// the new current epoch is at least three epochs old, the current bag
-// is always empty after draining.
+// least three behind e is drained to the free list. A retirer with
+// local epoch b runs while the global epoch is b or b+1, so a reader
+// that saw the object before it was unlinked announced b-1, b or b+1.
+// Such a reader blocks the advance to b+3 until it exits, but one that
+// announced b+1 does not block the advance to b+2 - so b+2 is one
+// epoch too early. Bag indices are epoch%3 and the bag sharing an
+// index with the new current epoch is at least three epochs old, so
+// the current bag is always empty after draining.
 func (h *Handle[T]) rotate(e uint64) {
 	for i := range h.bags {
 		b := &h.bags[i]
-		if len(b.items) > 0 && b.epoch+2 <= e {
+		if len(b.items) > 0 && b.epoch+3 <= e {
 			h.Recycled += int64(len(b.items))
 			h.free = append(h.free, b.items...)
 			b.items = b.items[:0]

@@ -142,6 +142,28 @@ func TestNoRecycleWhileProtected(t *testing.T) {
 	if writer.FreeCount() != 1 {
 		t.Fatalf("object not recycled after reader exited (limbo=%d)", writer.LimboCount())
 	}
+
+	// The reader may also enter one epoch after the writer: the writer
+	// entered at e, the epoch moved to e+1, the reader entered at e+1
+	// and saw q, and only then did the writer unlink and retire q, into
+	// its epoch-e bag. q must survive the epoch reaching e+2 (the
+	// reader, announced e+1, does not block that advance) for as long
+	// as the reader stays inside.
+	writer.Enter()
+	m.tryAdvance()
+	reader.Enter()
+	q := &obj{}
+	writer.Retire(q)
+	writer.Exit()
+	for i := 0; i < 100; i++ {
+		m.tryAdvance()
+		writer.Enter()
+		writer.Exit()
+	}
+	if n := writer.FreeCount(); n != 1 {
+		t.Fatalf("FreeCount = %d with the late reader still inside, want 1 (p only)", n)
+	}
+	reader.Exit()
 }
 
 func TestEpochAdvanceRequiresAllActive(t *testing.T) {

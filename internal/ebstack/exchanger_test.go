@@ -25,26 +25,27 @@ func TestExchangeTimesOutAlone(t *testing.T) {
 
 func TestExchangeSameTypeRefused(t *testing.T) {
 	var e exchanger[int64]
-	done := make(chan bool)
-	go func() {
-		of := &offer[int64]{isPush: true, value: 1}
-		_, ok := e.exchange(of, 1<<16)
-		done <- ok
-	}()
-	// Wait until the first push has installed itself.
-	for e.slot.Load() == nil {
-	}
+	// A push offer waiting at the exchanger, installed directly so it
+	// cannot time out and withdraw before the test looks at it.
+	waiting := &offer[int64]{isPush: true, value: 1}
+	e.slot.Store(waiting)
 	of2 := &offer[int64]{isPush: true, value: 2}
 	if _, ok := e.exchange(of2, 4); ok {
 		t.Fatal("push exchanged with push")
 	}
-	// Unblock the waiter by having a pop take it.
+	if e.slot.Load() != waiting || waiting.claimed.Load() != nil {
+		t.Fatal("refused push disturbed the waiting offer")
+	}
+	// A pop claims the waiting push and takes its value.
 	pop := &offer[int64]{isPush: false}
-	if v, ok := e.exchange(pop, 1<<16); !ok || v != 1 {
+	if v, ok := e.exchange(pop, 4); !ok || v != 1 {
 		t.Fatalf("pop exchange = (%d, %v), want (1, true)", v, ok)
 	}
-	if !<-done {
-		t.Fatal("waiting push was claimed but reported failure")
+	if got := waiting.claimed.Load(); got != pop {
+		t.Fatalf("waiting push claimed by %p, want the pop %p", got, pop)
+	}
+	if e.slot.Load() != nil {
+		t.Fatal("claimed offer left in the slot")
 	}
 }
 

@@ -35,7 +35,9 @@ import (
 // tables, and the queue-vs-channel head-to-head (`-fig queue`) emits a
 // chan-arm series whose degree snapshot is empty (a channel exposes no
 // batching internals).
-const Schema = "secbench/v9"
+// v10 dropped spin_inherits from degree rows (the engine's aggregator
+// count is fixed, so there is no shard-scaling grow to count).
+const Schema = "secbench/v10"
 
 // BenchDoc is the top-level JSON document for one figure or table: its
 // sweeps' throughput series and/or its degree tables.

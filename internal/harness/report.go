@@ -122,7 +122,6 @@ type DegreeRow struct {
 	PutStealMisses int64   `json:"put_steal_misses"`
 	GetStealHits   int64   `json:"get_steal_hits"`
 	GetStealMisses int64   `json:"get_steal_misses"`
-	SpinInherits   int64   `json:"spin_inherits"`
 	LiveShards     int     `json:"live_shards"`
 	ShardGrows     int64   `json:"shard_grows"`
 	ShardShrinks   int64   `json:"shard_shrinks"`
@@ -145,7 +144,6 @@ func DegreeRowFrom(workload string, s metrics.Snapshot) DegreeRow {
 		PutStealMisses: s.PutStealMisses,
 		GetStealHits:   s.GetStealHits,
 		GetStealMisses: s.GetStealMisses,
-		SpinInherits:   s.SpinInherits,
 		LiveShards:     s.LiveShards,
 		ShardGrows:     s.ShardGrows,
 		ShardShrinks:   s.ShardShrinks,
@@ -206,11 +204,6 @@ func DegreeTable(title string, rows []DegreeRow) string {
 	fmt.Fprintf(&b, "%-18s", "GetSteal hit/miss")
 	for _, r := range rows {
 		fmt.Fprintf(&b, " %10s", fmt.Sprintf("%d/%d", r.GetStealHits, r.GetStealMisses))
-	}
-	b.WriteByte('\n')
-	fmt.Fprintf(&b, "%-18s", "SpinInherits")
-	for _, r := range rows {
-		fmt.Fprintf(&b, " %10d", r.SpinInherits)
 	}
 	b.WriteByte('\n')
 	fmt.Fprintf(&b, "%-18s", "LiveShards")

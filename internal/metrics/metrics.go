@@ -30,11 +30,10 @@ type shard struct {
 	putStealMiss atomic.Int64 // overflow sweeps that found every foreign shard contended
 	getStealHits atomic.Int64 // Gets that stole an element from a foreign shard via TryPop
 	getStealMiss atomic.Int64 // steal sweeps that hit only contention and escalated
-	spinInherits atomic.Int64 // shard-scaling grows that seeded this shard's controller
 	shardGrows   atomic.Int64 // elastic grows that turned this shard live
 	shardShrinks atomic.Int64 // elastic shrinks that began draining this shard
 	migrated     atomic.Int64 // elements drained off this shard during shrink
-	_            [3*pad.CacheLine - 18*8]byte
+	_            [3*pad.CacheLine - 17*8]byte
 }
 
 // SEC aggregates per-aggregator statistics for a SEC stack instance.
@@ -156,17 +155,6 @@ func (m *SEC) RecordGetSteal(agg int, hit bool) {
 	}
 }
 
-// RecordSpinInherit tallies one shard-scaling grow that turned
-// aggregator agg live with controller state (spin, degree EWMA, mode)
-// seeded from the surviving aggregators' mean rather than the stale
-// state the shard retired with.
-func (m *SEC) RecordSpinInherit(agg int) {
-	if m == nil {
-		return
-	}
-	m.shards[agg].spinInherits.Add(1)
-}
-
 // RecordResize tallies one elastic pool resize against shard agg:
 // grow=true is a grow that turned shard agg live (it rejoins the
 // homing window), grow=false a shrink that began draining it. The pool
@@ -225,10 +213,14 @@ type Snapshot struct {
 	PutStealMisses int64
 	GetStealHits   int64
 	GetStealMisses int64
-	SpinInherits   int64
 	ShardGrows     int64
 	ShardShrinks   int64
 	Migrated       int64
+
+	// SpinInherits is always 0: the engine runs a fixed aggregator
+	// count, so no shard is ever seeded from the others. Kept so
+	// readers that sum it still compile.
+	SpinInherits int64
 
 	// LiveShards is the pool's live shard window size at snapshot time
 	// (0 for non-pool snapshots). Unlike the counters it is a gauge:
@@ -254,7 +246,6 @@ func (s *Snapshot) Accumulate(other Snapshot) {
 	s.PutStealMisses += other.PutStealMisses
 	s.GetStealHits += other.GetStealHits
 	s.GetStealMisses += other.GetStealMisses
-	s.SpinInherits += other.SpinInherits
 	s.ShardGrows += other.ShardGrows
 	s.ShardShrinks += other.ShardShrinks
 	s.Migrated += other.Migrated
@@ -285,7 +276,6 @@ func (m *SEC) Snapshot() Snapshot {
 		out.PutStealMisses += s.putStealMiss.Load()
 		out.GetStealHits += s.getStealHits.Load()
 		out.GetStealMisses += s.getStealMiss.Load()
-		out.SpinInherits += s.spinInherits.Load()
 		out.ShardGrows += s.shardGrows.Load()
 		out.ShardShrinks += s.shardShrinks.Load()
 		out.Migrated += s.migrated.Load()
@@ -314,7 +304,6 @@ func (m *SEC) Reset() {
 		s.putStealMiss.Store(0)
 		s.getStealHits.Store(0)
 		s.getStealMiss.Store(0)
-		s.spinInherits.Store(0)
 		s.shardGrows.Store(0)
 		s.shardShrinks.Store(0)
 		s.migrated.Store(0)

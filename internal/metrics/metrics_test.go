@@ -241,7 +241,6 @@ func TestPutStealAndInheritCounters(t *testing.T) {
 	m.RecordPutSteal(1, true)
 	m.RecordPutSteal(1, true)
 	m.RecordPutSteal(0, false)
-	m.RecordSpinInherit(2)
 	s := m.Snapshot()
 	if s.PutStealHits != 2 || s.PutStealMisses != 1 {
 		t.Fatalf("put-steal counters = %d/%d, want 2/1", s.PutStealHits, s.PutStealMisses)
@@ -249,23 +248,19 @@ func TestPutStealAndInheritCounters(t *testing.T) {
 	if got := s.PutStealPct(); got < 66 || got > 67 {
 		t.Fatalf("PutStealPct = %.2f, want ~66.7", got)
 	}
-	if s.SpinInherits != 1 {
-		t.Fatalf("SpinInherits = %d, want 1", s.SpinInherits)
-	}
 	var acc Snapshot
 	acc.Accumulate(s)
 	acc.Accumulate(s)
-	if acc.PutStealHits != 4 || acc.PutStealMisses != 2 || acc.SpinInherits != 2 {
+	if acc.PutStealHits != 4 || acc.PutStealMisses != 2 {
 		t.Fatalf("Accumulate dropped steal counters: %+v", acc)
 	}
 	m.Reset()
-	if s := m.Snapshot(); s.PutStealHits != 0 || s.PutStealMisses != 0 || s.SpinInherits != 0 {
+	if s := m.Snapshot(); s.PutStealHits != 0 || s.PutStealMisses != 0 {
 		t.Fatalf("Reset left steal counters: %+v", s)
 	}
 	// Nil collectors swallow records, as everywhere else in the package.
 	var nilM *SEC
 	nilM.RecordPutSteal(0, true)
-	nilM.RecordSpinInherit(0)
 	if (Snapshot{}).PutStealPct() != 0 {
 		t.Fatal("PutStealPct on empty snapshot not 0")
 	}

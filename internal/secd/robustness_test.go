@@ -8,8 +8,10 @@ package secd
 // betting on scheduler or kernel-buffer timing.
 
 import (
+	"errors"
 	"io"
 	"net"
+	"syscall"
 	"testing"
 	"time"
 
@@ -371,6 +373,54 @@ func TestDrainDelayForceClose(t *testing.T) {
 	}
 }
 
+// TestDrainWhileArmingReadDeadline is the regression test for the
+// drain race: Shutdown fires while a handler sits between its last
+// reply and the next read's deadline arm, so the arm lands after
+// Shutdown's wake-up deadline. The handler must still notice the
+// drain, say goodbye and exit, so Shutdown returns nil instead of
+// force-closing a reader asleep for the whole ReadIdle.
+func TestDrainWhileArmingReadDeadline(t *testing.T) {
+	defer faultpoint.Reset()
+	s, err := New(Config{MaxSessions: 2, ReadIdle: time.Minute})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- s.Serve(lis) }()
+	c := dialClient(t, lis.Addr().String())
+	defer c.close()
+
+	faultpoint.Arm(FPArm, faultpoint.Spec{Action: faultpoint.ActDelay, Delay: 300 * time.Millisecond, Count: 1})
+	c.do(t, wire.OpStackPush, 1)
+	// The hit is counted before the delay starts: once it shows, the
+	// handler is inside the window.
+	deadline := time.Now().Add(5 * time.Second)
+	for faultpoint.Hits(FPArm) == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("handler never reached the arm site")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := s.Shutdown(5 * time.Second); err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	if err := <-serveErr; err != nil {
+		t.Fatalf("Serve after drain: %v", err)
+	}
+	if faultpoint.Fires(FPArm) != 1 {
+		t.Fatal("arm-site delay never fired")
+	}
+	c.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	rep, err := wire.ReadReply(c.br)
+	if err != nil || rep.Status != wire.StatusShutdown {
+		t.Fatalf("drain goodbye = %+v, %v; want StatusShutdown", rep, err)
+	}
+}
+
 // TestAcceptFaultClosesEarly: an injected accept-time failure closes
 // the conn before it can handshake; the next connection is served.
 func TestAcceptFaultClosesEarly(t *testing.T) {
@@ -384,8 +434,14 @@ func TestAcceptFaultClosesEarly(t *testing.T) {
 	defer conn.Close()
 	conn.Write(wire.AppendRequest(nil, wire.Request{Op: wire.OpHello, Arg: wire.HelloArg()}))
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if _, err := io.ReadAll(conn); err != nil && err != io.EOF {
+	// The server closes without reading, so the close is a FIN or, when
+	// the Hello reached it first, a reset; either way nothing is served.
+	got, err := io.ReadAll(conn)
+	if err != nil && !errors.Is(err, syscall.ECONNRESET) {
 		t.Fatalf("read on injected-accept conn: %v", err)
+	}
+	if len(got) != 0 {
+		t.Fatalf("injected-accept conn served %d bytes, want none", len(got))
 	}
 	c := dialClient(t, addr)
 	defer c.close()

@@ -46,6 +46,7 @@ import (
 	"os"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"secstack/funnel"
@@ -87,6 +88,11 @@ const (
 	// FPDrain fires in the drain goodbye path (ActDelay stretches the
 	// drain so Shutdown's force-close budget is reachable in tests).
 	FPDrain = "secd.drain"
+	// FPArm fires at the top of each request-loop iteration, after the
+	// previous reply and before the next read arms its idle deadline.
+	// ActDelay holds a handler in that window, so a test can fire
+	// Shutdown's wake-up before the arm runs.
+	FPArm = "secd.arm"
 )
 
 // Config sizes the served engines. The zero value is usable: SEC with
@@ -162,11 +168,15 @@ type Server struct {
 	fn     *funnel.Funnel
 	m      *metrics.Server
 
-	mu       sync.Mutex
-	lis      net.Listener
-	conns    map[net.Conn]struct{}
-	draining bool
-	wg       sync.WaitGroup // one count per accepted connection
+	// draining is set once, by Shutdown, under mu (so Serve's
+	// accept path cannot add a connection Shutdown misses); handlers
+	// read it without the lock on every deadline arm.
+	draining atomic.Bool
+
+	mu    sync.Mutex
+	lis   net.Listener
+	conns map[net.Conn]struct{}
+	wg    sync.WaitGroup // one count per accepted connection
 }
 
 // New builds the engines and returns an unstarted server.
@@ -257,7 +267,7 @@ func (s *Server) ListenAndServe(addr string) error {
 // otherwise.
 func (s *Server) Serve(lis net.Listener) error {
 	s.mu.Lock()
-	if s.draining {
+	if s.draining.Load() {
 		s.mu.Unlock()
 		lis.Close()
 		return fmt.Errorf("secd: server already shut down")
@@ -267,10 +277,7 @@ func (s *Server) Serve(lis net.Listener) error {
 	for {
 		conn, err := lis.Accept()
 		if err != nil {
-			s.mu.Lock()
-			draining := s.draining
-			s.mu.Unlock()
-			if draining {
+			if s.draining.Load() {
 				return nil
 			}
 			return err
@@ -282,7 +289,7 @@ func (s *Server) Serve(lis net.Listener) error {
 			continue
 		}
 		s.mu.Lock()
-		if s.draining {
+		if s.draining.Load() {
 			s.mu.Unlock()
 			conn.Close()
 			continue
@@ -301,7 +308,7 @@ func (s *Server) Serve(lis net.Listener) error {
 // error if timeout passed first (connections are then force-closed).
 func (s *Server) Shutdown(timeout time.Duration) error {
 	s.mu.Lock()
-	s.draining = true
+	s.draining.Store(true)
 	lis := s.lis
 	for c := range s.conns {
 		// Interrupt blocked reads; the handler sees a deadline error,
@@ -397,12 +404,6 @@ func (s *Server) removeConn(conn net.Conn) {
 	s.mu.Unlock()
 }
 
-func (s *Server) isDraining() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.draining
-}
-
 // handle serves one connection: handshake, then read/execute/reply in
 // order until disconnect, eviction or drain.
 func (s *Server) handle(conn net.Conn) {
@@ -459,13 +460,14 @@ func (s *Server) handle(conn net.Conn) {
 
 	var scratch []byte
 	for {
+		faultpoint.Hit(FPArm)
 		s.armReadDeadline(conn)
 		q, err := wire.ReadRequest(br)
 		if err != nil {
 			// Drain deadline, idle eviction, clean EOF or abrupt
 			// disconnect: either way the deferred close recycles this
 			// session's handle slots.
-			if s.isDraining() {
+			if s.draining.Load() {
 				faultpoint.Hit(FPDrain)
 				s.sayAndClose(bw, conn, wire.Reply{Status: wire.StatusShutdown})
 				return
@@ -508,10 +510,17 @@ func (s *Server) handle(conn net.Conn) {
 	}
 }
 
-// armReadDeadline starts a read's idle budget.
+// armReadDeadline starts a read's idle budget. The arm can land after
+// Shutdown's SetReadDeadline(now) and overwrite it, which would leave
+// the read asleep for the whole ReadIdle; so it re-checks draining
+// afterwards and, when set, restores the wake-up itself. Shutdown sets
+// draining before its wake-up, so one of the two always runs last.
 func (s *Server) armReadDeadline(conn net.Conn) {
 	if s.cfg.ReadIdle > 0 {
 		conn.SetReadDeadline(time.Now().Add(s.cfg.ReadIdle))
+		if s.draining.Load() {
+			conn.SetReadDeadline(time.Now())
+		}
 	}
 }
 

@@ -125,8 +125,8 @@ func TestHandleChurnSECRecycling(t *testing.T) {
 }
 
 // TestHandleChurnSECAdaptive repeats the SEC churn waves with the full
-// adaptivity stack on - solo fast path, dynamic shard scaling, batch
-// recycling, node recycling - and checks element conservation: handle
+// adaptivity stack on - solo fast path, batch recycling, node
+// recycling - and checks element conservation: handle
 // slots (and with them engine hazard slots and solo scratch batches)
 // recycle across goroutine generations while batches recycle across
 // freezes. Run with -race; the hazard handoff between a retiring

@@ -122,12 +122,10 @@ func WithAdaptiveSpin(on bool) Option { return config.WithAdaptiveSpin(on) }
 // degree counters, retrievable via Metrics.
 func WithMetrics() Option { return config.WithMetrics() }
 
-// WithAdaptive toggles the solo fast path and dynamic shard scaling:
-// when a shard's recent batch degree is ~1, an operation first tries
-// the central lock with one TryLock instead of paying the batch
-// protocol, falling back to the full protocol when the lock is
-// contended; and the effective shard count scales between 1 and
-// WithAggregators with the observed degree.
+// WithAdaptive toggles the solo fast path: when a shard's recent batch
+// degree is ~1, an operation first tries the central lock with one
+// TryLock instead of paying the batch protocol, falling back to the
+// full protocol when the lock is contended.
 func WithAdaptive(on bool) Option { return config.WithAdaptive(on) }
 
 // WithBatchRecycling toggles batch recycling: frozen batches (slot

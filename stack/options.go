@@ -46,12 +46,11 @@ func WithoutElimination() Option { return config.WithoutElimination() }
 // paper's DEBRA deployment (§4).
 func WithRecycling() Option { return config.WithRecycling() }
 
-// WithAdaptive toggles contention adaptivity in SEC (and the other
-// batch-protocol structures honouring the shared option): the solo
-// fast path - one direct Treiber-style CAS when an aggregator's recent
-// batch degree is ~1, falling back to the full batch protocol on
-// contention - and dynamic shard scaling between 1 and
-// WithAggregators. See DESIGN.md §8.
+// WithAdaptive toggles the solo fast path in SEC (and the other
+// batch-protocol structures honouring the shared option): one direct
+// Treiber-style CAS when an aggregator's recent batch degree is ~1,
+// falling back to the full batch protocol on contention. The
+// aggregator count stays WithAggregators. See DESIGN.md §8.
 func WithAdaptive(on bool) Option { return config.WithAdaptive(on) }
 
 // WithBatchRecycling toggles batch recycling in the batch-protocol

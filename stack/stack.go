@@ -177,21 +177,6 @@ func New[T any](alg Algorithm, opts ...Option) (Stack[T], error) {
 	return nil, fmt.Errorf("stack: unknown algorithm %q (known: %v)", alg, Algorithms())
 }
 
-// NewByName constructs the named algorithm with the given SEC
-// aggregator count.
-//
-// Deprecated: NewByName predates the registry and drops every knob
-// except the aggregator count. Use New, which forwards full option sets
-// to all algorithms and reports unknown names as errors.
-func NewByName[T any](a Algorithm, aggregators int) (Stack[T], bool) {
-	var opts []Option
-	if aggregators > 0 {
-		opts = append(opts, WithAggregators(aggregators))
-	} // else: keep the old zero-value semantics (paper default of 2)
-	s, err := New[T](a, opts...)
-	return s, err == nil
-}
-
 // tryRegister adapts a panicking register closure into the
 // error-surfacing form isession and TryRegister need. Every
 // algorithm's registration panics with a "handles live" message when

@@ -36,17 +36,6 @@ func TestNewUnknownAlgorithm(t *testing.T) {
 	if _, err := stack.New[int](stack.Algorithm("NOPE")); err == nil {
 		t.Fatal("New accepted an unknown algorithm")
 	}
-	// The deprecated shim keeps its (Stack, bool) contract.
-	if _, ok := stack.NewByName[int](stack.Algorithm("NOPE"), 2); ok {
-		t.Fatal("NewByName accepted an unknown algorithm")
-	}
-	if s, ok := stack.NewByName[int](stack.SEC, 3); !ok || s == nil {
-		t.Fatal("NewByName rejected SEC")
-	}
-	// The seed's zero-value semantics: aggregators<=0 means "default".
-	if s, ok := stack.NewByName[int](stack.SEC, 0); !ok || s == nil {
-		t.Fatal("NewByName rejected aggregators=0 (old default spelling)")
-	}
 }
 
 func TestDescribe(t *testing.T) {
