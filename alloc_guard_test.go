@@ -8,6 +8,7 @@
 package secstack_test
 
 import (
+	"runtime"
 	"testing"
 
 	"secstack/funnel"
@@ -31,7 +32,6 @@ func TestAllocCeilingSoloFastPath(t *testing.T) {
 	s := stack.NewSEC[int64](
 		stack.WithAggregators(2),
 		stack.WithAdaptive(true),
-		stack.WithBatchRecycling(true),
 		stack.WithRecycling(),
 	)
 	h := s.Register()
@@ -49,30 +49,85 @@ func TestAllocCeilingSoloFastPath(t *testing.T) {
 	}
 }
 
-// TestAllocCeilingBatchRecycling: with adaptivity OFF every
-// single-threaded operation still pays a full freeze (a singleton
-// batch per op - the seed's worst case, one slot-array + payload
-// allocation each). Batch recycling must reduce that to zero: frozen
-// batches cycle through the per-aggregator free list and the freeze
-// path reuses them.
-func TestAllocCeilingBatchRecycling(t *testing.T) {
-	s := stack.NewSEC[int64](
-		stack.WithAggregators(2),
-		stack.WithBatchRecycling(true),
-		stack.WithRecycling(),
-	)
+// TestAllocCeilingFreezePath: the stock SEC stack and queue, built
+// with no options, run with adaptivity off, so every single-threaded
+// operation pays a full freeze of a singleton batch. Frozen batches
+// always cycle through the per-aggregator free lists, so the freeze
+// path itself allocates nothing: a push allocates only its node, a pop
+// nothing, and a queue operation nothing (the queue announces its
+// handle's scratch field).
+func TestAllocCeilingFreezePath(t *testing.T) {
+	s := stack.NewSEC[int64]()
 	h := s.Register()
 	defer h.Close()
-	for i := int64(0); i < 4096; i++ {
+	for i := int64(0); i < 4096; i++ { // settle the free lists
 		h.Push(i)
 		h.Pop()
 	}
-	avg := testing.AllocsPerRun(2000, func() {
-		h.Push(7)
-		h.Pop()
-	})
-	if avg > allocCeiling {
-		t.Fatalf("recycling freeze path allocates %.3f allocs/op, ceiling %.2f", avg, allocCeiling)
+	const runs = 2000
+	if avg := testing.AllocsPerRun(runs, func() { h.Push(7) }); avg > 1 {
+		t.Fatalf("stock SEC push allocates %.3f allocs/op, ceiling 1 (the node)", avg)
+	}
+	if avg := testing.AllocsPerRun(runs, func() {
+		if _, ok := h.Pop(); !ok {
+			t.Fatal("pop ran out of pushed elements")
+		}
+	}); avg > allocCeiling {
+		t.Fatalf("stock SEC pop allocates %.3f allocs/op, ceiling %.2f", avg, allocCeiling)
+	}
+
+	q := queue.New[int64]()
+	qh := q.Register()
+	defer qh.Close()
+	for i := int64(0); i < 4096; i++ { // touch every ring segment, settle the free lists
+		qh.Enqueue(i)
+		qh.Dequeue()
+	}
+	if avg := testing.AllocsPerRun(runs, func() {
+		if !qh.Enqueue(7) {
+			t.Fatal("enqueue into a drained queue rejected")
+		}
+		if _, ok := qh.Dequeue(); !ok {
+			t.Fatal("dequeue lost the enqueued element")
+		}
+	}); avg > allocCeiling {
+		t.Fatalf("stock queue enqueue/dequeue allocates %.3f allocs/op, ceiling %.2f", avg, allocCeiling)
+	}
+}
+
+// newCost reports the mean heap bytes and objects one call of build
+// allocates.
+func newCost(build func()) (bytes, objects float64) {
+	const runs = 200
+	build() // warm any lazily initialized runtime state
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		build()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / runs,
+		float64(after.Mallocs-before.Mallocs) / runs
+}
+
+var newSink *queue.Queue[int64]
+
+// TestAllocCeilingNew guards construction cost: an engine allocates no
+// per-session state up front (records arrive with each id's first
+// Register; New allocates one directory pointer per 16 MaxThreads), so
+// batch recycling must not make queue.New dearer, and a large
+// MaxThreads must stay cheap. The per-P session cache is sized by
+// GOMAXPROCS, so the measurement pins it to 2, the host the ceilings
+// were taken on.
+func TestAllocCeilingNew(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	bytes, objects := newCost(func() { newSink = queue.New[int64]() })
+	if bytes > 6264 || objects > 28 {
+		t.Fatalf("queue.New allocates %.0f B in %.1f objects, ceiling 6264 B in 28", bytes, objects)
+	}
+	bytes, _ = newCost(func() { newSink = queue.New[int64](queue.WithMaxThreads(4096)) })
+	if bytes > 24<<10 {
+		t.Fatalf("queue.New with MaxThreads 4096 allocates %.0f B, ceiling %d", bytes, 24<<10)
 	}
 }
 
@@ -84,7 +139,6 @@ func TestAllocCeilingPoolStealMiss(t *testing.T) {
 	p := pool.New[int64](
 		pool.WithShards(4),
 		pool.WithAdaptive(true),
-		pool.WithBatchRecycling(true),
 	)
 	h := p.Register()
 	defer h.Close()
@@ -104,7 +158,6 @@ func TestAllocCeilingPoolStealHit(t *testing.T) {
 	p := pool.New[int64](
 		pool.WithShards(4),
 		pool.WithAdaptive(true),
-		pool.WithBatchRecycling(true),
 	)
 	consumer := p.Register() // home shard 0
 	producer := p.Register() // home shard 1
@@ -181,7 +234,6 @@ func TestAllocCeilingQueue(t *testing.T) {
 	q := queue.New[int64](
 		queue.WithCapacity(256),
 		queue.WithAdaptive(true),
-		queue.WithBatchRecycling(true),
 	)
 	h := q.Register()
 	defer h.Close()
@@ -207,7 +259,6 @@ func TestAllocCeilingQueueTryMiss(t *testing.T) {
 	empty := queue.New[int64](
 		queue.WithCapacity(8),
 		queue.WithAdaptive(true),
-		queue.WithBatchRecycling(true),
 	)
 	he := empty.Register()
 	defer he.Close()
@@ -226,7 +277,6 @@ func TestAllocCeilingQueueTryMiss(t *testing.T) {
 	full := queue.New[int64](
 		queue.WithCapacity(8),
 		queue.WithAdaptive(true),
-		queue.WithBatchRecycling(true),
 	)
 	hf := full.Register()
 	defer hf.Close()
@@ -253,7 +303,6 @@ func TestAllocCeilingImplicitQueue(t *testing.T) {
 	q := queue.New[int64](
 		queue.WithCapacity(256),
 		queue.WithAdaptive(true),
-		queue.WithBatchRecycling(true),
 	)
 	for i := int64(0); i < 4096; i++ {
 		q.Enqueue(i)
@@ -279,7 +328,6 @@ func TestAllocCeilingImplicitStack(t *testing.T) {
 	s := stack.NewSEC[int64](
 		stack.WithAggregators(2),
 		stack.WithAdaptive(true),
-		stack.WithBatchRecycling(true),
 		stack.WithRecycling(),
 	)
 	for i := int64(0); i < 4096; i++ { // warm the per-P cache, settle EBR and free lists
@@ -302,7 +350,6 @@ func TestAllocCeilingImplicitPool(t *testing.T) {
 	p := pool.New[int64](
 		pool.WithShards(4),
 		pool.WithAdaptive(true),
-		pool.WithBatchRecycling(true),
 		pool.WithRecycling(),
 	)
 	for i := int64(0); i < 4096; i++ {

@@ -43,7 +43,6 @@ func newImplicitBenchStack() *stack.SECStack[int64] {
 	return stack.NewSEC[int64](
 		stack.WithAggregators(2),
 		stack.WithAdaptive(true),
-		stack.WithBatchRecycling(true),
 		stack.WithRecycling(),
 	)
 }
@@ -99,7 +98,6 @@ func BenchmarkImplicitVsHandle(b *testing.B) {
 			s := stack.NewSEC[int64](
 				stack.WithAggregators(2),
 				stack.WithAdaptive(true),
-				stack.WithBatchRecycling(true),
 				stack.WithRecycling(),
 				stack.WithImplicitSessions(false),
 			)

@@ -12,7 +12,6 @@
 //	BenchmarkAblationNoElimination  - combining-only SEC vs full SEC
 //	BenchmarkAblationReclaim        - EBR node recycling on/off
 //	BenchmarkAblationFastPath       - contention-adaptive solo fast path on/off (reports allocs)
-//	BenchmarkAblationBatchReuse     - batch recycling on/off (reports allocs)
 //	BenchmarkAblationSpin           - fixed FreezerSpin ladder vs the adaptive spin controller
 //	BenchmarkPoolSteal              - pool Get peek-then-steal, hit and miss paths (reports allocs)
 //
@@ -227,34 +226,6 @@ func BenchmarkAblationFastPath(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationBatchReuse isolates batch recycling (DESIGN.md §8):
-// the full batch protocol with freshly allocated batches vs recycled
-// ones, node recycling on in both arms so the remaining allocations
-// are the freeze path's own. The adaptive fast path stays off so every
-// operation pays a freeze at low thread counts - the regime whose
-// per-op batch allocation motivated recycling.
-func BenchmarkAblationBatchReuse(b *testing.B) {
-	for _, reuse := range []bool{false, true} {
-		name := "alloc"
-		if reuse {
-			name = "reuse"
-		}
-		for _, p := range parallelisms {
-			b.Run(fmt.Sprintf("%s/%s", name, p.name), func(b *testing.B) {
-				b.ReportAllocs()
-				f := func() stack.Stack[int64] {
-					opts := []stack.Option{stack.WithAggregators(2), stack.WithRecycling()}
-					if reuse {
-						opts = append(opts, stack.WithBatchRecycling(true))
-					}
-					return stack.NewSEC[int64](opts...)
-				}
-				benchMix(b, f, harness.Update100, 1000, p.par)
-			})
-		}
-	}
-}
-
 // BenchmarkAblationSpin is the freezer-backoff ablation (DESIGN.md
 // §9): SEC across fixed FreezerSpin settings against the adaptive
 // controller bounded by the ladder's top rung. The claim: adaptive
@@ -292,7 +263,7 @@ func BenchmarkAblationSpin(b *testing.B) {
 // includes the Put's node allocation).
 func BenchmarkPoolSteal(b *testing.B) {
 	newPool := func() *pool.Pool[int64] {
-		return pool.New[int64](pool.WithShards(4), pool.WithAdaptive(true), pool.WithBatchRecycling(true))
+		return pool.New[int64](pool.WithShards(4), pool.WithAdaptive(true))
 	}
 	b.Run("miss", func(b *testing.B) {
 		p := newPool()

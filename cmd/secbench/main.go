@@ -6,7 +6,7 @@
 //	secbench -fig 2a          # Figure 2a: update mixes on the Emerald ladder
 //	secbench -fig 3           # Figure 3: push-only / pop-only, Emerald
 //	secbench -fig 4           # Figure 4: SEC aggregator sweep, Emerald
-//	secbench -fig adaptive    # adaptivity ablation: solo fast path + batch recycling vs stock SEC and TRB
+//	secbench -fig adaptive    # adaptivity ablation: solo fast path (+ node recycling) vs stock SEC and TRB
 //	secbench -fig spin        # freezer-backoff ablation: fixed FreezerSpin ladder vs the adaptive controller
 //	secbench -fig implicit    # handle-free ablation: per-P implicit sessions vs explicit handles vs spill-only
 //	secbench -fig elastic     # elastic-pool ablation: static shard count vs the elastic controller, with live_shards per rung
@@ -366,9 +366,9 @@ func figAggSweep(title string, m harness.Machine, workloads []harness.Workload, 
 
 // figAdaptive renders the contention-adaptivity ablation (not a paper
 // figure; see DESIGN.md §8): stock SEC against SEC with the solo fast
-// path, with batch recycling stacked on top, and the
-// Treiber baseline the fast path degenerates to, across the update
-// mixes. The low-thread rungs are where adaptivity must close the gap
+// path, the same with node recycling stacked on top (SEC_adapt_rec;
+// every SEC column recycles its frozen batches), and the Treiber
+// baseline the fast path degenerates to, across the update mixes. The low-thread rungs are where adaptivity must close the gap
 // to TRB; the high rungs are where it must not cost anything.
 func figAdaptive(title string, m harness.Machine, st settings, doc *harness.BenchDoc) {
 	cols := []string{"SEC", "SEC_adapt", "SEC_adapt_rec", "TRB"}
@@ -378,7 +378,7 @@ func figAdaptive(title string, m harness.Machine, st settings, doc *harness.Benc
 			return harness.FactoryFor(stack.SEC, stack.WithAggregators(2), stack.WithAdaptive(true))
 		case "SEC_adapt_rec":
 			return harness.FactoryFor(stack.SEC, stack.WithAggregators(2), stack.WithAdaptive(true),
-				stack.WithBatchRecycling(true), stack.WithRecycling())
+				stack.WithRecycling())
 		default:
 			return harness.FactoryFor(stack.Algorithm(col), stack.WithAggregators(2))
 		}
@@ -435,7 +435,7 @@ func figSpin(title string, m harness.Machine, st settings, doc *harness.BenchDoc
 
 // figImplicit renders the handle-free ablation (not a paper figure;
 // see DESIGN.md §12): the same zero-alloc SEC configuration (adaptive
-// fast path, node + batch recycling) measured three ways over a short
+// fast path, node recycling) measured three ways over a short
 // contention ladder -
 //
 //	SEC_handle   - per-worker explicit handles, the baseline every
@@ -461,7 +461,6 @@ func figImplicit(title string, st settings, doc *harness.BenchDoc) {
 	zeroAlloc := []stack.Option{
 		stack.WithAggregators(2),
 		stack.WithAdaptive(true),
-		stack.WithBatchRecycling(true),
 		stack.WithRecycling(),
 	}
 	arms := []struct {

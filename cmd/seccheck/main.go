@@ -112,8 +112,7 @@ const qCheckCapacity = 3
 func checkQueueLinearizability(rounds, threads, opsPer int) int {
 	bad := 0
 	for r := 0; r < rounds; r++ {
-		q := queue.New[int64](queue.WithCapacity(qCheckCapacity),
-			queue.WithAdaptive(true), queue.WithBatchRecycling(true))
+		q := queue.New[int64](queue.WithCapacity(qCheckCapacity), queue.WithAdaptive(true))
 		rec := lincheck.NewQRecorder(threads)
 		var wg sync.WaitGroup
 		for t := 0; t < threads; t++ {
@@ -164,7 +163,7 @@ func checkQueueLinearizability(rounds, threads, opsPer int) int {
 // counting only admitted enqueues, since the bound rejects some - and
 // verifies that drain(dequeued) == admitted as multisets.
 func checkQueueConservation(threads, opsPer int) error {
-	q := queue.New[int64](queue.WithAdaptive(true), queue.WithBatchRecycling(true))
+	q := queue.New[int64](queue.WithAdaptive(true))
 	var (
 		wg       sync.WaitGroup
 		mu       sync.Mutex

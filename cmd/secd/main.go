@@ -37,7 +37,7 @@ func main() {
 		maxconns = flag.Int("maxconns", 256, "live-connection bound (the engines' MaxThreads)")
 		aggs     = flag.Int("aggregators", 2, "stack/funnel aggregator count")
 		shards   = flag.Int("shards", 4, "pool shard count (the ceiling under -elastic)")
-		adaptive = flag.Bool("adaptive", true, "enable engine contention adaptivity and batch recycling")
+		adaptive = flag.Bool("adaptive", true, "enable engine contention adaptivity and node recycling")
 		elastic  = flag.Bool("elastic", false, "enable the pool's elastic shard controller, fed by the live-session gauge")
 		drain    = flag.Duration("drain", 5*time.Second, "graceful-drain budget on SIGTERM")
 		readIdle = flag.Duration("read-idle", 2*time.Minute, "evict a session idle past this budget (0 disables)")

@@ -17,10 +17,11 @@
 // many operations per lock acquisition) is exactly what makes the lock
 // cheap.
 //
-// The engine's lifecycle (announce, freeze, combine, reclaim) and its
-// optional adaptivity - the solo fast path (WithAdaptive, a TryLock
-// apply when an end's recent batch degree is ~1), batch recycling
-// (WithBatchRecycling) and the adaptive freezer backoff
+// Frozen batches - slot arrays and result tables - are always recycled,
+// so the freeze path allocates nothing in steady state. The engine's
+// lifecycle (announce, freeze, combine, reclaim) and its optional
+// adaptivity - the solo fast path (WithAdaptive, a TryLock apply when
+// an end's recent batch degree is ~1) and the adaptive freezer backoff
 // (WithAdaptiveSpin) - are documented in internal/agg and DESIGN.md
 // §8-§10; the deque honours the same shared options as the other
 // structures (see README.md for the matrix).
@@ -117,11 +118,6 @@ func WithMetrics() Option { return config.WithMetrics() }
 // full protocol when the lock is contended.
 func WithAdaptive(on bool) Option { return config.WithAdaptive(on) }
 
-// WithBatchRecycling toggles batch recycling: frozen batches (slot
-// arrays and result tables) retire to per-end free lists for reuse, so
-// the steady-state freeze path allocates nothing.
-func WithBatchRecycling(on bool) Option { return config.WithBatchRecycling(on) }
-
 // WithImplicitSessions toggles the per-P affinity tier behind the
 // handle-free PushLeft/PushRight/PopLeft/PopRight methods (default
 // on); see the stack package's option of the same name.
@@ -150,7 +146,6 @@ func New[T any](opts ...Option) *Deque[T] {
 		FreezerSpin:  c.FreezerSpin,
 		AdaptiveSpin: c.AdaptiveSpin,
 		Partitioned:  false,
-		Recycle:      c.BatchRecycle,
 		Adaptive:     c.Adaptive,
 		Eliminate:    agg.PairElim,
 		MakeData:     func(n int) []popResult[T] { return make([]popResult[T], n) },
@@ -161,7 +156,7 @@ func New[T any](opts ...Option) *Deque[T] {
 		TrySoloPop:   d.trySoloPop,
 		Metrics:      m,
 	})
-	// Cached implicit handles publish their hazard slot once per
+	// Cached implicit handles clear their hazard once per
 	// AnnounceEvery ops (amortized announcement); explicit handles keep
 	// the engine's eager per-op clear.
 	d.cache = isession.New(c.ImplicitAffinity, func() (*Handle[T], error) {
@@ -169,7 +164,7 @@ func New[T any](opts ...Option) *Deque[T] {
 		if err != nil {
 			return nil, err
 		}
-		d.eng.SetDoneCadence(h.id, c.AnnounceEvery)
+		h.sess.SetDoneCadence(c.AnnounceEvery)
 		return h, nil
 	}, func(h *Handle[T]) { h.Close() })
 	return d
@@ -190,8 +185,8 @@ func (d *Deque[T]) Metrics() *metrics.SEC { return d.eng.Metrics() }
 // goroutines, and should be Closed when their goroutine is done so the
 // handle slot recycles.
 type Handle[T any] struct {
-	d  *Deque[T]
-	id int
+	d    *Deque[T]
+	sess *agg.Session[T, []popResult[T]] // nil once closed
 }
 
 // Register returns a new handle. Slots released by Close are recycled,
@@ -208,11 +203,11 @@ func (d *Deque[T]) Register() *Handle[T] {
 // TryRegister is Register with ErrExhausted in place of the exhaustion
 // panic - the same contract the stack, pool and funnel packages offer.
 func (d *Deque[T]) TryRegister() (*Handle[T], error) {
-	id, err := d.eng.Register()
+	sess, err := d.eng.Register()
 	if err != nil {
 		return nil, ErrExhausted
 	}
-	return &Handle[T]{d: d, id: id}, nil
+	return &Handle[T]{d: d, sess: sess}, nil
 }
 
 // PushLeft adds v at the left end through a cached per-P handle.
@@ -250,11 +245,11 @@ func (d *Deque[T]) PopRight() (T, bool) {
 // Close releases the handle's slot for reuse by a future Register.
 // Close is idempotent; any other use of a closed handle is a bug.
 func (h *Handle[T]) Close() {
-	if h.id < 0 {
+	if h.sess == nil {
 		return
 	}
-	h.d.eng.Release(h.id)
-	h.id = -1
+	h.d.eng.Release(h.sess)
+	h.sess = nil
 }
 
 // PushLeft adds v at the left end.
@@ -271,11 +266,11 @@ func (h *Handle[T]) PopLeft() (T, bool) { return h.pop(Left) }
 func (h *Handle[T]) PopRight() (T, bool) { return h.pop(Right) }
 
 func (h *Handle[T]) push(side Side, v T) {
-	h.d.eng.Push(h.id, int(side), &v)
+	h.d.eng.Push(h.sess, int(side), &v)
 	// Eliminated pushes return right away: the paired pop reads the
 	// value from the batch's announcement slots. Survivors return once
 	// the end's combiner applied them under the lock.
-	h.d.eng.Done(h.id)
+	h.sess.Done()
 }
 
 // trySoloPush is the solo fast path's push applier: apply the scratch
@@ -311,14 +306,14 @@ func (d *Deque[T]) applyPush(end int, b *dqBatch[T], seq, pushAtF int64) {
 }
 
 func (h *Handle[T]) pop(side Side) (v T, ok bool) {
-	t := h.d.eng.Pop(h.id, int(side))
+	t := h.d.eng.Pop(h.sess, int(side))
 	if t.Elim != nil { // eliminated against the push with the same number
 		v = *t.Elim
-		h.d.eng.Done(h.id)
+		h.sess.Done()
 		return v, true
 	}
 	r := t.B.Data[t.Off]
-	h.d.eng.Done(h.id) // finished with the batch's result table
+	h.sess.Done() // finished with the batch's result table
 	return r.v, r.ok
 }
 

@@ -26,9 +26,9 @@
 //
 // Beyond the paper, the engine is contention-adaptive (DESIGN.md
 // §8-§10): a solo fast path and an adaptive freezer backoff adapt the
-// batching machinery to the observed load, batch recycling and
-// epoch-batched hazard reclamation make the steady-state hot paths
-// allocation-free, and single-CAS steal primitives (TryPush,
+// batching machinery to the observed load, always-on batch recycling
+// and epoch-batched hazard reclamation make the steady-state freeze
+// path allocation-free, and single-CAS steal primitives (TryPush,
 // TryPop) give the pool bidirectional cross-shard load balancing - Get
 // steals from quiet shards, Put overflows away from saturated ones.
 //

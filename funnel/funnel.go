@@ -16,6 +16,9 @@
 // of a batch freezes it (after a batch-growing backoff) and acts as the
 // delegate, so every announcer receives the value it would have seen
 // had the operations run in sequence-number order.
+//
+// Frozen batches - slot arrays and prefix-sum tables - are always
+// recycled, so the delegation path allocates nothing in steady state.
 package funnel
 
 import (
@@ -97,11 +100,6 @@ func WithMetrics() Option { return config.WithMetrics() }
 // CAS is contended.
 func WithAdaptive(on bool) Option { return config.WithAdaptive(on) }
 
-// WithBatchRecycling toggles batch recycling: frozen batches (slot
-// arrays and prefix-sum tables) retire to per-aggregator free lists
-// for reuse, so the steady-state delegation path allocates nothing.
-func WithBatchRecycling(on bool) Option { return config.WithBatchRecycling(on) }
-
 // WithImplicitSessions toggles the per-P affinity tier behind the
 // handle-free Add method (default on); see the stack package's option
 // of the same name.
@@ -128,7 +126,6 @@ func New(opts ...Option) *Funnel {
 		AdaptiveSpin: c.AdaptiveSpin,
 		Partitioned:  true,
 		SingleSided:  true, // announcements use the push side only
-		Recycle:      c.BatchRecycle,
 		Adaptive:     c.Adaptive,
 		Eliminate:    agg.NoElim,
 		MakeData:     func(n int) []int64 { return make([]int64, n) },
@@ -141,7 +138,7 @@ func New(opts ...Option) *Funnel {
 		// side only.
 		Metrics: m,
 	})
-	// Cached implicit handles publish their hazard slot once per
+	// Cached implicit handles clear their hazard once per
 	// AnnounceEvery ops (amortized announcement); explicit handles keep
 	// the eager per-op clear.
 	f.cache = isession.New(c.ImplicitAffinity, func() (*Handle, error) {
@@ -149,7 +146,7 @@ func New(opts ...Option) *Funnel {
 		if err != nil {
 			return nil, err
 		}
-		f.eng.SetDoneCadence(h.id, c.AnnounceEvery)
+		h.sess.SetDoneCadence(c.AnnounceEvery)
 		return h, nil
 	}, func(h *Handle) { h.Close() })
 	return f
@@ -191,8 +188,8 @@ func (f *Funnel) Metrics() *metrics.SEC { return f.eng.Metrics() }
 // goroutines, and should be Closed when their goroutine is done so the
 // handle slot recycles.
 type Handle struct {
-	f  *Funnel
-	id int
+	f    *Funnel
+	sess *agg.Session[int64, []int64] // nil once closed
 
 	// amt is the handle's announcement record. One scratch word per
 	// handle suffices: every slot of a frozen batch is read by its
@@ -200,7 +197,7 @@ type Handle struct {
 	// operation returns only after that flag (or after a post-freeze
 	// retry, whose abandoned slot is never read) - so by the time this
 	// handle's next FetchAdd overwrites amt, no reader can still need
-	// the previous value. (With batch recycling the argument tightens
+	// the previous value. (Batch recycling tightens the argument
 	// further: recycled slots are cleared before reuse.)
 	amt int64
 }
@@ -225,21 +222,21 @@ func (f *Funnel) Register() *Handle {
 // handles) that prefer backpressure over crashing - the same contract
 // the stack, deque and pool packages offer.
 func (f *Funnel) TryRegister() (*Handle, error) {
-	id, err := f.eng.Register()
+	sess, err := f.eng.Register()
 	if err != nil {
 		return nil, ErrExhausted
 	}
-	return &Handle{f: f, id: id}, nil
+	return &Handle{f: f, sess: sess}, nil
 }
 
 // Close releases the handle's thread id for reuse by a future Register.
 // Close is idempotent; any other use of a closed handle is a bug.
 func (h *Handle) Close() {
-	if h.id < 0 {
+	if h.sess == nil {
 		return
 	}
-	h.f.eng.Release(h.id)
-	h.id = -1
+	h.f.eng.Release(h.sess)
+	h.sess = nil
 }
 
 // Load returns the counter's current value. Batched amounts become
@@ -252,9 +249,9 @@ func (f *Funnel) Load() int64 { return f.counter.Load() }
 func (h *Handle) FetchAdd(amount int64) int64 {
 	h.amt = amount
 	eng := h.f.eng
-	t := eng.Push(h.id, eng.AggOf(h.id), &h.amt)
+	t := eng.Push(h.sess, eng.AggOf(h.sess.ID()), &h.amt)
 	v := t.B.Data[t.Seq]
-	eng.Done(h.id) // finished with the batch's prefix-sum table
+	h.sess.Done() // finished with the batch's prefix-sum table
 	return v
 }
 
@@ -270,7 +267,7 @@ func (h *Handle) FetchAdd(amount int64) int64 {
 func (h *Handle) TryFetchAdd(amount int64) (old int64, applied bool) {
 	h.amt = amount
 	eng := h.f.eng
-	t, applied := eng.TryPush(h.id, eng.AggOf(h.id), &h.amt)
+	t, applied := eng.TryPush(h.sess, eng.AggOf(h.sess.ID()), &h.amt)
 	if !applied {
 		return 0, false
 	}

@@ -75,16 +75,18 @@ func TestFunnelLinearizabilityVariants(t *testing.T) {
 		"BigSpin": {[]funnel.Option{funnel.WithDelegateSpin(2048)}, 0},
 		"Initial": {[]funnel.Option{funnel.WithInitial(-17)}, -17},
 		// Contention adaptivity (DESIGN.md §8): solo hardware fetch&adds
-		// race batch-delegated ones; batch recycling reuses frozen
-		// prefix-sum batches under the checker.
+		// race batch-delegated ones. Frozen prefix-sum batches are
+		// always recycled; one aggregator with no delegate spin cycles
+		// them through a single free list as fast as the checker's
+		// threads can freeze them.
 		"Adaptive":        {[]funnel.Option{funnel.WithAdaptive(true)}, 0},
-		"AdaptiveRecycle": {[]funnel.Option{funnel.WithAdaptive(true), funnel.WithBatchRecycling(true)}, 0},
-		"BatchRecycle":    {[]funnel.Option{funnel.WithBatchRecycling(true)}, 0},
+		"AdaptiveRecycle": {[]funnel.Option{funnel.WithAdaptive(true), funnel.WithAggregators(1)}, 0},
+		"BatchRecycle":    {[]funnel.Option{funnel.WithAggregators(1), funnel.WithDelegateSpin(0)}, 0},
 		// Adaptive delegate backoff (DESIGN.md §9): the spin controller
 		// retunes delegation timing mid-history, alone and stacked on the
-		// solo fetch&add + batch recycling.
+		// solo fetch&add.
 		"AdaptiveSpin":     {[]funnel.Option{funnel.WithAdaptiveSpin(true), funnel.WithDelegateSpin(2048)}, 0},
-		"AdaptiveSpinFull": {[]funnel.Option{funnel.WithAdaptiveSpin(true), funnel.WithAdaptive(true), funnel.WithBatchRecycling(true)}, 0},
+		"AdaptiveSpinFull": {[]funnel.Option{funnel.WithAdaptiveSpin(true), funnel.WithAdaptive(true)}, 0},
 	}
 	for name, v := range variants {
 		name, v := name, v
@@ -179,15 +181,14 @@ func runHistorySteal(f *funnel.Funnel, threads, opsPer int, seed uint64) []linch
 
 // TestFunnelLinearizabilityPutSteal checks TryFetchAdd against the
 // exhaustive counter checker across the knobs it interacts with:
-// stock delegation, adaptivity (steal CASes race solo ones and mode
-// flips), and batch recycling (scratch batches alongside recycled
-// prefix-sum batches).
+// stock delegation (scratch batches alongside recycled prefix-sum
+// batches), adaptivity (steal CASes race solo ones and mode flips), and
+// the adaptive delegate spin.
 func TestFunnelLinearizabilityPutSteal(t *testing.T) {
 	variants := map[string][]funnel.Option{
 		"PutSteal":         nil,
-		"PutStealAdaptive": {funnel.WithAdaptive(true), funnel.WithBatchRecycling(true)},
-		"PutStealFull": {funnel.WithAdaptive(true), funnel.WithBatchRecycling(true),
-			funnel.WithAdaptiveSpin(true)},
+		"PutStealAdaptive": {funnel.WithAdaptive(true)},
+		"PutStealFull":     {funnel.WithAdaptive(true), funnel.WithAdaptiveSpin(true)},
 	}
 	for name, opt := range variants {
 		name, opt := name, opt

@@ -69,7 +69,6 @@ func TestImplicitChurnStack(t *testing.T) {
 	s := stack.NewSEC[int64](
 		stack.WithMaxThreads(implicitMaxThreads()),
 		stack.WithAdaptive(true),
-		stack.WithBatchRecycling(true),
 		stack.WithRecycling(),
 	)
 	var pushed, popped int64

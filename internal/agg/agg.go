@@ -32,10 +32,10 @@
 //
 // Every full-protocol operation moves through four stages:
 //
-//  1. Announce: Push/Pop load the session's aggregator's active batch
-//     (publishing it through the session's hazard slot when recycling
-//     is on) and fetch&increment its side's counter; the returned
-//     sequence number is the operation's slot in the batch.
+//  1. Announce: Push/Pop load the session's aggregator's active batch,
+//     publish it through the session record's hazard pointer, and
+//     fetch&increment its side's counter; the returned sequence number
+//     is the operation's slot in the batch.
 //  2. Freeze: the first announcer of either side wins the freezer race,
 //     waits out the batch-growing backoff (fixed or adaptive), snapshots
 //     both counters, and installs the next batch - which releases every
@@ -49,7 +49,39 @@
 //  4. Reclaim: once the caller has consumed its ticket it calls Done,
 //     dropping its hazard; retired batches sit in the aggregator's limbo
 //     list until an epoch-batched hazard scan proves them quiescent and
-//     recycles them (Spec.Recycle) or the GC takes them.
+//     the next freezes reuse them.
+//
+// # Batch recycling
+//
+// Freeze never allocates in steady state: a frozen batch retires to a
+// per-aggregator limbo list and is reused - slot array, payload and
+// all - once no session can still hold it. Safety comes from per-session
+// hazard pointers: an announcer publishes the batch it is about to use
+// and re-validates the aggregator pointer, so once a batch is
+// uninstalled, the set of sessions that can still touch it is exactly
+// the set whose hazard names it. A fresh batch is allocated only when
+// the free list is dry or its batches are undersized for the current
+// session count.
+//
+// The hazard scan that reclaims limbo batches is epoch-batched: it runs
+// at most once per reclaimPeriod freezes (or when the limbo list
+// crosses its high-water mark) instead of on every freeze with a dry
+// free list, and each scan reads the hazard pointers once for the
+// whole limbo list rather than once per limbo batch. Scan/skip counters
+// prove the amortization.
+//
+// # Session records
+//
+// Each session id owns one cache-line-padded Session record: its hazard
+// pointer, its Done cadence and its solo scratch batch. Register
+// allocates the record on the first acquisition of its id and hands the
+// same record back whenever the id is acquired again; handles cache it,
+// so Push, Pop, TryPush, TryPop and Done take the record and never look
+// it up. The reclaim scan reaches the records through a chunked
+// directory: New allocates only ceil(MaxThreads/16) chunk pointers, and
+// the first Register that lands in a chunk installs it with a CAS. So
+// an engine's construction cost does not grow with MaxThreads by more
+// than one pointer per 16 sessions.
 //
 // # Contention adaptivity
 //
@@ -60,14 +92,6 @@
 // count itself never changes: a partitioned engine always runs exactly
 // Spec.Aggregators shards, as in the paper.
 //
-//   - Batch recycling (Spec.Recycle): frozen batches retire to a
-//     per-aggregator free list and are reused - slot arrays, payloads
-//     and all - once no session can still hold them, so the
-//     steady-state freeze path allocates nothing. Safety comes from
-//     per-session hazard slots: an announcer publishes the batch it is
-//     about to use and re-validates the aggregator pointer, so once a
-//     batch is uninstalled, the set of sessions that can still touch it
-//     is exactly the set whose hazard slot names it.
 //   - Solo fast path (Spec.Adaptive + TrySoloPush/TrySoloPop): when an
 //     aggregator's recent batch-degree EWMA is ~1, an operation first
 //     attempts one direct apply through a per-session single-slot
@@ -82,13 +106,6 @@
 //     buying batch degree) and decays toward zero while they freeze
 //     near-empty (waiting was pure latency), so solo-ish load stops
 //     paying the backoff the paper sizes for high contention.
-//   - Epoch-batched hazard reclamation (with Spec.Recycle): the full
-//     hazard-slot scan that reclaims limbo batches runs at most once
-//     per reclaimPeriod freezes (or when the limbo list crosses its
-//     high-water mark) instead of on every freeze with a dry free
-//     list, and each scan reads the hazard slots once for the whole
-//     limbo list rather than once per limbo batch. Scan/skip counters
-//     prove the amortization.
 //   - Steal primitives (TryPop and TryPush): one direct solo apply
 //     through the per-session scratch batch, bypassing mode and
 //     announcement entirely - the pool's peek-then-steal probe of
@@ -204,7 +221,7 @@ type aggregator[S, P any] struct {
 	free  []*Batch[S, P] // quiescent, ready for reuse
 
 	// hzbuf is the reclaim scan's scratch: the non-nil hazard pointers
-	// collected in its single pass over the hazard slots. Cleared after
+	// collected in its single pass over the session records. Cleared after
 	// each scan so it never pins a batch; freezer-owned like the lists.
 	hzbuf []*Batch[S, P]
 
@@ -284,11 +301,11 @@ const (
 	// quiescent batches drop to the garbage collector.
 	maxFree = 8
 
-	// reclaimPeriod is K of the reclaim epoch: with recycling on, the
-	// full hazard scan runs at most once per reclaimPeriod freezes of an
-	// aggregator. It equals maxFree on purpose - one scan must refill
-	// the free list with enough quiescent batches to feed the freezes
-	// until the next scan, or the deferred freezes would allocate.
+	// reclaimPeriod is K of the reclaim epoch: the full hazard scan
+	// runs at most once per reclaimPeriod freezes of an aggregator. It
+	// equals maxFree on purpose - one scan must refill the free list
+	// with enough quiescent batches to feed the freezes until the next
+	// scan, or the deferred freezes would allocate.
 	reclaimPeriod = maxFree
 
 	// limboHighWater forces a scan early when retired batches pile up
@@ -303,58 +320,73 @@ const (
 	// the spin decays toward zero. In between the spin holds.
 	spinGrowDeg  = 5 * degreeUnit / 2
 	spinDecayDeg = 3 * degreeUnit / 2
+
+	// chunkSize is the number of session records one directory chunk
+	// indexes.
+	chunkSize = 16
 )
 
-// HazardSlot is one session's published batch reference (recycling
-// only), padded so sessions do not share hazard lines. It is exported
-// (with unexported fields) so structure handles can cache their slot
-// pointer via Engine.Hazard and run the op-end Done bookkeeping
-// inline: the indexed engine-side Engine.Done sits just over the
-// inlining budget, and the op-end clear is on every operation's path.
+// Session is one session's engine-side record: its published batch
+// reference (the hazard), its Done cadence and its solo scratch batch,
+// padded to a cache line so sessions do not share one. Register
+// allocates it on the first acquisition of its id and returns the same
+// record whenever the id is acquired again; structure handles cache it,
+// so the per-op paths reach the session's state without an index.
 //
-// every and count drive amortized announcement (SetDoneCadence): Done
-// clears the hazard only on every every-th call, so a session that
-// performs bursts of operations pays one hazard clear (and one
-// republish in announce) per cadence window instead of per op. The
-// fields are plain, not atomic: they are read and written only by the
-// session holding this id, and the tid free list's CAS handoff is the
-// happens-before edge when the id moves to a new owner. A stale
+// Only the hazard is shared: the reclaim scan reads it. The other
+// fields are plain, read and written only by the session holding the
+// id; the tid free list's CAS handoff is the happens-before edge when
+// the id moves to a new owner.
+//
+// every and left drive amortized announcement (SetDoneCadence): left
+// counts down the Done calls until the next hazard clear, so a session
+// that performs bursts of operations pays one hazard clear (and one
+// republish in announce) per cadence window instead of per op. A stale
 // hazard left up between ops pins at most one retired batch per
 // session, the same bound the scan already tolerates for a session
 // parked mid-operation.
-type HazardSlot[S, P any] struct {
-	p     atomic.Pointer[Batch[S, P]]
+type Session[S, P any] struct {
+	hz    atomic.Pointer[Batch[S, P]]
+	solo  *Batch[S, P] // one-slot scratch batch, allocated on first use
+	id    int
 	every int32
-	count int32
-	_     [pad.CacheLine - 16]byte
+	left  int32
+	_     [pad.CacheLine - 32]byte
 }
 
-// Done ends one operation for the session owning this slot: count the
-// cadence window and clear the published hazard when it closes. Split
-// into Tick and Clear because the combined body lands just over the
-// generic-shape inlining budget: separately each half inlines, so
-// every structure op ends in straight-line code.
-func (hz *HazardSlot[S, P]) Done() {
-	if hz.Tick() {
-		hz.Clear()
+// sessionChunk is one directory chunk: the records of chunkSize
+// consecutive ids, each installed by the first Register of its id.
+type sessionChunk[S, P any] [chunkSize]atomic.Pointer[Session[S, P]]
+
+// ID reports the session's thread id (its aggregator under a
+// partitioned engine is AggOf(ID)).
+func (s *Session[S, P]) ID() int { return s.id }
+
+// Done ends one operation for the session: the session is finished
+// reading the ticket its Push or Pop returned (including the batch
+// payload), so its hazard no longer pins the batch. Structures call it
+// once per operation, after consuming the ticket. Under a cadence
+// (SetDoneCadence) only every every-th call clears the hazard; with
+// none set (every <= 1) every call does - the eager default.
+func (s *Session[S, P]) Done() {
+	if s.left--; s.left <= 0 {
+		s.left = s.every
+		s.hz.Store(nil)
 	}
 }
 
-// Tick advances the cadence window and reports whether the hazard is
-// due for a clear. With no cadence set (every <= 1) the comparison
-// fails immediately and every call is due - the eager default.
-func (hz *HazardSlot[S, P]) Tick() bool {
-	if n := hz.count + 1; n < hz.every {
-		hz.count = n
-		return false
-	}
-	hz.count = 0
-	return true
-}
-
-// Clear drops the published hazard.
-func (hz *HazardSlot[S, P]) Clear() {
-	hz.p.Store(nil)
+// SetDoneCadence makes the session clear its hazard on every k-th Done
+// instead of every one - amortized announcement for callers (the
+// implicit-session layer) whose handles perform long runs of
+// operations on one aggregator. Between clears the session's hazard
+// keeps the current batch published, so consecutive announces skip
+// their publish-and-revalidate; the cost is that an idle session may
+// pin one retired batch until its cadence window closes, which the
+// reclaim scan already tolerates (same bound as a session parked
+// mid-operation). k < 1 is treated as 1, the eager default.
+func (s *Session[S, P]) SetDoneCadence(k int) {
+	s.every = int32(max(k, 1))
+	s.left = s.every
 }
 
 // Spec parameterises an Engine. Aggregators and MaxThreads are clamped
@@ -397,11 +429,6 @@ type Spec[S, P any] struct {
 	// metrics record per frozen batch.
 	SingleSided bool
 
-	// Recycle enables batch recycling: frozen batches return to a
-	// per-aggregator free list once hazard-quiescent and are reused
-	// instead of reallocated.
-	Recycle bool
-
 	// Adaptive enables the solo fast path (when TrySoloPush/TrySoloPop
 	// are provided).
 	Adaptive bool
@@ -415,6 +442,7 @@ type Spec[S, P any] struct {
 
 	// ResetData re-initializes a recycled batch's payload before reuse
 	// (clear published pointers, drop references the GC should have).
+	// Every frozen batch is recycled, so this runs on the freeze path.
 	// nil skips payload reset - correct only when every payload entry a
 	// reader can reach is overwritten by the applier first.
 	ResetData func(p *P)
@@ -459,7 +487,6 @@ type Engine[S, P any] struct {
 	adaptiveSpin bool
 	partitioned  bool
 	singleSided  bool
-	recycle      bool
 	adaptive     bool
 	eliminate    Eliminator
 	makeData     func(n int) P
@@ -478,12 +505,12 @@ type Engine[S, P any] struct {
 	soloPushOn bool
 	soloPopOn  bool
 
-	// hazards[id] is session id's published batch reference; solo[id]
-	// its scratch batch. Both indexed by session id, each entry owned
-	// by the session holding that id (the tid free list's CAS handoff
-	// is the happens-before edge across owners).
-	hazards []HazardSlot[S, P]
-	solo    []*Batch[S, P]
+	// dir is the session-record directory the reclaim scan walks:
+	// chunk c holds the records of ids [c*chunkSize, (c+1)*chunkSize).
+	// Chunks and records are installed lazily by Register and never
+	// removed, so a record pointer stays valid for the engine's
+	// lifetime.
+	dir []atomic.Pointer[sessionChunk[S, P]]
 }
 
 // New returns an engine with one freshly installed batch per
@@ -509,7 +536,6 @@ func New[S, P any](spec Spec[S, P]) *Engine[S, P] {
 		adaptiveSpin: spec.AdaptiveSpin && spec.FreezerSpin > 0,
 		partitioned:  spec.Partitioned,
 		singleSided:  spec.SingleSided,
-		recycle:      spec.Recycle,
 		adaptive:     spec.Adaptive,
 		eliminate:    spec.Eliminate,
 		makeData:     spec.MakeData,
@@ -521,17 +547,10 @@ func New[S, P any](spec Spec[S, P]) *Engine[S, P] {
 		m:            spec.Metrics,
 		tids:         tid.New(spec.MaxThreads),
 		maxThreads:   spec.MaxThreads,
+		dir:          make([]atomic.Pointer[sessionChunk[S, P]], (spec.MaxThreads+chunkSize-1)/chunkSize),
 	}
 	e.soloPushOn = e.adaptive && e.trySoloPush != nil
 	e.soloPopOn = e.adaptive && e.trySoloPop != nil
-	if e.recycle {
-		e.hazards = make([]HazardSlot[S, P], spec.MaxThreads)
-	}
-	if e.adaptive || e.trySoloPush != nil || e.trySoloPop != nil {
-		// Scratch batches back both the solo fast path and the TryPop
-		// steal primitive; the latter works with Adaptive off.
-		e.solo = make([]*Batch[S, P], spec.MaxThreads)
-	}
 	if e.adaptive || e.adaptiveSpin {
 		for i := range e.ctl {
 			// Start optimistic: assume no contention until a freeze or a
@@ -579,11 +598,11 @@ func (e *Engine[S, P]) sizeBatch() int {
 }
 
 // NewBatch allocates a batch sized for the sessions currently live, not
-// for the MaxThreads worst case: without recycling, batches are
-// allocated on every freeze, so a worst-case array would dominate the
-// allocation rate at low thread counts. Announcers past the array
-// (registered after the batch was created) are pushed to the next,
-// larger batch by the snapshot clamp in Freeze.
+// for the MaxThreads worst case, so a lightly used engine keeps small
+// batches on its free lists. Announcers past the array (registered
+// after the batch was created) are pushed to the next, larger batch by
+// the snapshot clamp in Freeze; nextBatch drops recycled batches that
+// have become undersized.
 func (e *Engine[S, P]) NewBatch() *Batch[S, P] {
 	p := e.sizeBatch()
 	b := &Batch[S, P]{slots: make([]atomic.Pointer[S], p)}
@@ -614,13 +633,13 @@ func (e *Engine[S, P]) resetBatch(b *Batch[S, P]) {
 	}
 }
 
-// reclaim is the full hazard scan: one pass over the HighWater hazard
-// slots collecting the published batches, then one pass over a's limbo
-// list filtering against that set - hazard-quiescent batches move to
-// the free list (overflow drops to the GC). Hazard-major order makes
-// the scan cost HighWater atomic loads per *scan*, not per limbo
-// entry; the epoch in nextBatch makes scans rare. Called only inside
-// Freeze.
+// reclaim is the full hazard scan: one pass over the session records
+// of the HighWater ids ever issued, collecting the published batches,
+// then one pass over a's limbo list filtering against that set -
+// hazard-quiescent batches move to the free list (overflow drops to the
+// GC). Hazard-major order makes the scan cost one directory walk per
+// *scan*, not per limbo entry; the epoch in nextBatch makes scans rare.
+// Called only inside Freeze.
 //
 // Soundness: every session publishes its batch before using it and
 // re-validates the aggregator pointer afterwards, so once a batch is
@@ -631,9 +650,17 @@ func (e *Engine[S, P]) resetBatch(b *Batch[S, P]) {
 func (e *Engine[S, P]) reclaim(a *aggregator[S, P]) {
 	hz := a.hzbuf[:0]
 	n := e.tids.HighWater()
-	for i := 0; i < n; i++ {
-		if p := e.hazards[i].p.Load(); p != nil {
-			hz = append(hz, p)
+	for c := 0; c*chunkSize < n; c++ {
+		ch := e.dir[c].Load()
+		if ch == nil {
+			continue // its first Register has not installed it yet
+		}
+		for i := range ch {
+			if s := ch[i].Load(); s != nil {
+				if p := s.hz.Load(); p != nil {
+					hz = append(hz, p)
+				}
+			}
 		}
 	}
 	keep := a.limbo[:0]
@@ -662,9 +689,9 @@ func (e *Engine[S, P]) reclaim(a *aggregator[S, P]) {
 	a.hzbuf = hz[:0]
 }
 
-// nextBatch produces the batch Freeze installs: a recycled one when
-// recycling is on and a quiescent batch of sufficient capacity exists,
-// a fresh allocation otherwise. Called only inside Freeze.
+// nextBatch produces the batch Freeze installs: a recycled one when a
+// quiescent batch of sufficient capacity exists, a fresh allocation
+// otherwise. Called only inside Freeze.
 //
 // The reclaim epoch lives here: a full hazard scan runs at most once
 // per reclaimPeriod freezes - or early, when the limbo list crosses
@@ -673,9 +700,6 @@ func (e *Engine[S, P]) reclaim(a *aggregator[S, P]) {
 // list for the whole epoch and the deferred freezes between scans
 // still reuse batches rather than allocate.
 func (e *Engine[S, P]) nextBatch(agg int) *Batch[S, P] {
-	if !e.recycle {
-		return e.NewBatch()
-	}
 	a := &e.aggs[agg]
 	a.sinceScan++
 	if len(a.limbo) > 0 {
@@ -711,78 +735,43 @@ func (e *Engine[S, P]) nextBatch(agg int) *Batch[S, P] {
 var ErrExhausted = errors.New("agg: all MaxThreads session slots live")
 
 // Register acquires a session: a thread id drawn from the lock-free
-// free list. Ids released by Release are reused, so MaxThreads bounds
-// concurrently live sessions rather than lifetime registrations.
-func (e *Engine[S, P]) Register() (id int, err error) {
-	id, err = e.tids.Acquire()
+// free list, and that id's record. Ids released by Release are reused,
+// so MaxThreads bounds concurrently live sessions rather than lifetime
+// registrations. The first Register of an id allocates its record (and
+// installs the id's directory chunk if no earlier id in it has); every
+// later one returns the same record.
+func (e *Engine[S, P]) Register() (*Session[S, P], error) {
+	id, err := e.tids.Acquire()
 	if err != nil {
-		return 0, ErrExhausted
+		return nil, ErrExhausted
 	}
-	return id, nil
+	slot := &e.dir[id/chunkSize]
+	ch := slot.Load()
+	if ch == nil {
+		ch = new(sessionChunk[S, P])
+		if !slot.CompareAndSwap(nil, ch) {
+			ch = slot.Load()
+		}
+	}
+	s := ch[id%chunkSize].Load()
+	if s == nil {
+		// Only the holder of id writes this slot, so it needs no CAS;
+		// the store is atomic for the concurrent reclaim scan.
+		s = &Session[S, P]{id: id}
+		ch[id%chunkSize].Store(s)
+	}
+	return s, nil
 }
 
 // Release returns a session's id to the free list for reuse. Any
-// hazard the session still published is cleared so an idle slot can
+// hazard the session still published is cleared so an idle record can
 // never pin a retired batch, and the amortized-announcement cadence
-// resets so a recycled id never inherits the previous owner's.
-func (e *Engine[S, P]) Release(id int) {
-	if e.recycle {
-		hz := &e.hazards[id]
-		hz.every, hz.count = 0, 0
-		hz.p.Store(nil)
-	}
-	e.tids.Release(id)
-}
-
-// Done marks the end of one operation: the session is finished reading
-// the ticket its Push or Pop returned (including the batch payload),
-// so its hazard no longer pins the batch. Structures call it once per
-// operation, after consuming the ticket; it is a no-op without batch
-// recycling.
-//
-// Under a Done cadence (SetDoneCadence) the clear is amortized: the
-// hazard stays published for every-1 of every calls, so the next
-// announce on the same batch skips its publish-and-revalidate. Kept
-// under the inlining budget on purpose - every structure op ends here.
-func (e *Engine[S, P]) Done(id int) {
-	if e.recycle {
-		e.hazards[id].Done()
-	}
-}
-
-// Hazard returns session id's hazard slot, or nil when batch recycling
-// is off. Structure handles cache the pointer at registration so their
-// op-end Done (and its cadence bookkeeping) inlines instead of paying
-// an engine call per operation; the slice is sized at MaxThreads in
-// New and never reallocates, so the pointer stays valid for the
-// engine's lifetime.
-func (e *Engine[S, P]) Hazard(id int) *HazardSlot[S, P] {
-	if !e.recycle {
-		return nil
-	}
-	return &e.hazards[id]
-}
-
-// SetDoneCadence makes session id clear its hazard on every k-th Done
-// instead of every one - amortized announcement for callers (the
-// implicit-session layer) whose handles perform long runs of
-// operations on one aggregator. Between clears the session's hazard
-// keeps the current batch published, so consecutive announces skip
-// their publish-and-revalidate; the cost is that an idle session may
-// pin one retired batch until its cadence window closes, which the
-// reclaim scan already tolerates (same bound as a session parked
-// mid-operation). k < 1 is treated as 1, the eager default. No-op
-// without batch recycling (there is no hazard to amortize).
-func (e *Engine[S, P]) SetDoneCadence(id, k int) {
-	if !e.recycle {
-		return
-	}
-	if k < 1 {
-		k = 1
-	}
-	hz := &e.hazards[id]
-	hz.every = int32(k)
-	hz.count = 0
+// resets so a recycled id never inherits the previous owner's. The
+// caller must not use s afterwards.
+func (e *Engine[S, P]) Release(s *Session[S, P]) {
+	s.every, s.left = 0, 0
+	s.hz.Store(nil)
+	e.tids.Release(s.id)
 }
 
 // AggOf maps a session id to its fixed aggregator (partitioned engines
@@ -910,10 +899,10 @@ func (e *Engine[S, P]) observeFreeze(agg, ops int) {
 // snapshot both counters clamped to the slot capacity, then install the
 // next batch on aggregator agg, which releases every spinning
 // announcer. Exactly one thread per batch - the freezer-race winner -
-// calls it. With recycling on, the frozen batch retires to the
-// aggregator's limbo list (before the install, so the next freezer
-// inherits the list with a happens-before edge) and the installed
-// batch is recycled when a quiescent one is available.
+// calls it. The frozen batch retires to the aggregator's limbo list
+// (before the install, so the next freezer inherits the list with a
+// happens-before edge) and the installed batch is recycled when a
+// quiescent one is available.
 func (e *Engine[S, P]) Freeze(agg int, b *Batch[S, P]) {
 	spin := e.spinFor(agg)
 	if spin > 0 {
@@ -925,9 +914,7 @@ func (e *Engine[S, P]) Freeze(agg int, b *Batch[S, P]) {
 	b.PopAtFreeze.Store(pops)
 	b.PushAtFreeze.Store(pushes)
 	next := e.nextBatch(agg)
-	if e.recycle {
-		e.aggs[agg].limbo = append(e.aggs[agg].limbo, b)
-	}
+	e.aggs[agg].limbo = append(e.aggs[agg].limbo, b)
 	e.aggs[agg].batch.Store(next)
 	if e.m != nil {
 		capacity := 2 * len(b.slots)
@@ -956,7 +943,7 @@ func (e *Engine[S, P]) freezeOrWait(agg int, b *Batch[S, P], seq int64) {
 	}
 }
 
-// announceSlow publishes batch b through hazard slot hz and
+// announceSlow publishes batch b through session s's hazard and
 // re-validates aggregator agg's batch pointer, following it until the
 // publish sticks. The re-validation closes the window between the
 // caller's load and the publish: a batch that was uninstalled in that
@@ -967,14 +954,14 @@ func (e *Engine[S, P]) freezeOrWait(agg int, b *Batch[S, P], seq int64) {
 // the active batch and skip the publish entirely when the session's
 // hazard already names it (amortized announcement - a Done cadence
 // left the hazard up, or a pop retried within one batch). The skip is
-// sound because only the owner writes the slot: hazard == b means the
-// slot has continuously named b since a validated publish, so every
+// sound because only the owner writes the hazard: hazard == b means it
+// has continuously named b since a validated publish, so every
 // reclaim scan in between has seen it and b cannot have been recycled
 // out from under us - and b is installed right now (the caller just
 // loaded it).
-func (e *Engine[S, P]) announceSlow(hz *HazardSlot[S, P], agg int, b *Batch[S, P]) *Batch[S, P] {
+func (e *Engine[S, P]) announceSlow(s *Session[S, P], agg int, b *Batch[S, P]) *Batch[S, P] {
 	for {
-		hz.p.Store(b)
+		s.hz.Store(b)
 		nb := e.aggs[agg].batch.Load()
 		if nb == b {
 			return b
@@ -983,25 +970,25 @@ func (e *Engine[S, P]) announceSlow(hz *HazardSlot[S, P], agg int, b *Batch[S, P
 	}
 }
 
-// soloBatch returns session id's one-slot scratch batch, allocating it
+// soloBatch returns session s's one-slot scratch batch, allocating it
 // on first use. Scratch batches never enter the recycling pool; the
 // session is their only writer and their payload is fully overwritten
 // by the solo applier before the ticket is read. The allocation lives
 // in newSoloBatch so this lookup inlines into the per-op paths.
-func (e *Engine[S, P]) soloBatch(id int) *Batch[S, P] {
-	if b := e.solo[id]; b != nil {
+func (e *Engine[S, P]) soloBatch(s *Session[S, P]) *Batch[S, P] {
+	if b := s.solo; b != nil {
 		return b
 	}
-	return e.newSoloBatch(id)
+	return e.newSoloBatch(s)
 }
 
 // newSoloBatch is soloBatch's first-use slow path.
-func (e *Engine[S, P]) newSoloBatch(id int) *Batch[S, P] {
+func (e *Engine[S, P]) newSoloBatch(s *Session[S, P]) *Batch[S, P] {
 	b := &Batch[S, P]{slots: make([]atomic.Pointer[S], 1)}
 	if e.makeData != nil {
 		b.Data = e.makeData(1)
 	}
-	e.solo[id] = b
+	s.solo = b
 	return b
 }
 
@@ -1050,20 +1037,17 @@ type PushTicket[S, P any] struct {
 }
 
 // Push announces val on the push side of aggregator agg's active batch
-// on behalf of session id and drives the operation through the batch
+// on behalf of session s and drives the operation through the batch
 // lifecycle (Algorithm 1 of the paper): freeze race, post-freeze
 // retry, elimination, combiner election or applied-wait. When the
 // aggregator is in solo mode, one direct apply is attempted first. On
 // return the operation is linearized - applied solo, eliminated
 // in-batch, or applied to the shared structure by its batch's push
-// combiner. The caller must invoke Done(id) once it has finished
-// reading the ticket.
-func (e *Engine[S, P]) Push(id, agg int, val *S) PushTicket[S, P] {
+// combiner. The caller must invoke s.Done once it has finished reading
+// the ticket.
+func (e *Engine[S, P]) Push(s *Session[S, P], agg int, val *S) PushTicket[S, P] {
 	if e.soloPushOn && e.ctl[agg].mode.Load() == modeSolo {
-		sb := e.solo[id]
-		if sb == nil {
-			sb = e.newSoloBatch(id)
-		}
+		sb := e.soloBatch(s)
 		sb.slots[0].Store(val)
 		if e.trySoloPush(agg, sb) {
 			e.soloHit(agg)
@@ -1076,10 +1060,8 @@ func (e *Engine[S, P]) Push(id, agg int, val *S) PushTicket[S, P] {
 		// session's hazard already names the active batch (see
 		// announceSlow for the soundness argument).
 		b := e.aggs[agg].batch.Load()
-		if e.recycle {
-			if hz := &e.hazards[id]; hz.p.Load() != b {
-				b = e.announceSlow(hz, agg, b)
-			}
+		if s.hz.Load() != b {
+			b = e.announceSlow(s, agg, b)
 		}
 		seq := b.PushCount.Add(1) - 1
 		if int(seq) < len(b.slots) {
@@ -1125,19 +1107,16 @@ type PopTicket[S, P any] struct {
 }
 
 // Pop announces on the pop side of aggregator agg's active batch on
-// behalf of session id and drives the operation through the batch
+// behalf of session s and drives the operation through the batch
 // lifecycle (Algorithm 2 of the paper), attempting one solo direct
 // apply first when the aggregator is in solo mode. An eliminated pop
 // returns its partner's record; a surviving pop returns after its
 // batch's pop combiner ran, with its offset into the
-// combiner-published results. The caller must invoke Done(id) once it
+// combiner-published results. The caller must invoke s.Done once it
 // has finished reading the ticket.
-func (e *Engine[S, P]) Pop(id, agg int) PopTicket[S, P] {
+func (e *Engine[S, P]) Pop(s *Session[S, P], agg int) PopTicket[S, P] {
 	if e.soloPopOn && e.ctl[agg].mode.Load() == modeSolo {
-		sb := e.solo[id]
-		if sb == nil {
-			sb = e.newSoloBatch(id)
-		}
+		sb := e.soloBatch(s)
 		if e.trySoloPop(agg, sb) {
 			e.soloHit(agg)
 			return PopTicket[S, P]{B: sb, Off: 0, K: 1}
@@ -1147,10 +1126,8 @@ func (e *Engine[S, P]) Pop(id, agg int) PopTicket[S, P] {
 	for {
 		// Inlined announce: see Push.
 		b := e.aggs[agg].batch.Load()
-		if e.recycle {
-			if hz := &e.hazards[id]; hz.p.Load() != b {
-				b = e.announceSlow(hz, agg, b)
-			}
+		if s.hz.Load() != b {
+			b = e.announceSlow(s, agg, b)
 		}
 		seq := b.PopCount.Add(1) - 1
 
@@ -1184,7 +1161,7 @@ func (e *Engine[S, P]) Pop(id, agg int) PopTicket[S, P] {
 }
 
 // TryPop attempts exactly one solo direct apply on aggregator agg on
-// behalf of session id, bypassing the aggregator's mode and the batch
+// behalf of session s, bypassing the aggregator's mode and the batch
 // protocol entirely - the pool's peek-then-steal primitive. On success
 // the returned ticket reads like a surviving pop's (one op, offset 0);
 // ok=false means the structure's solo applier detected contention and
@@ -1195,11 +1172,11 @@ func (e *Engine[S, P]) Pop(id, agg int) PopTicket[S, P] {
 // evidence about the home sessions' batch degree, so it feeds neither
 // the EWMA nor the fast-path counters, and having announced on no
 // batch it needs no hazard and no Done.
-func (e *Engine[S, P]) TryPop(id, agg int) (PopTicket[S, P], bool) {
+func (e *Engine[S, P]) TryPop(s *Session[S, P], agg int) (PopTicket[S, P], bool) {
 	if e.trySoloPop == nil {
 		return PopTicket[S, P]{}, false
 	}
-	sb := e.soloBatch(id)
+	sb := e.soloBatch(s)
 	if !e.trySoloPop(agg, sb) {
 		return PopTicket[S, P]{}, false
 	}
@@ -1207,7 +1184,7 @@ func (e *Engine[S, P]) TryPop(id, agg int) (PopTicket[S, P], bool) {
 }
 
 // TryPush is TryPop's push-side twin: exactly one solo direct apply of
-// val on aggregator agg on behalf of session id, bypassing the
+// val on aggregator agg on behalf of session s, bypassing the
 // aggregator's mode and the batch protocol entirely - the pool's
 // Put-overflow primitive, which lets a Put spill onto a quiet foreign
 // shard when its home shard's solo CAS keeps losing. On success the
@@ -1221,11 +1198,11 @@ func (e *Engine[S, P]) TryPop(id, agg int) (PopTicket[S, P], bool) {
 // batch degree, so it feeds neither the EWMA nor the fast-path
 // counters, and having announced on no shared batch it needs no hazard
 // and no Done.
-func (e *Engine[S, P]) TryPush(id, agg int, val *S) (PushTicket[S, P], bool) {
+func (e *Engine[S, P]) TryPush(s *Session[S, P], agg int, val *S) (PushTicket[S, P], bool) {
 	if e.trySoloPush == nil {
 		return PushTicket[S, P]{}, false
 	}
-	sb := e.soloBatch(id)
+	sb := e.soloBatch(s)
 	sb.slots[0].Store(val)
 	if !e.trySoloPush(agg, sb) {
 		return PushTicket[S, P]{}, false

@@ -56,15 +56,19 @@ func TestBatchSizingPartitioned(t *testing.T) {
 	spec := noopSpec(4, 64, true)
 	spec.Adaptive = true
 	e = New(spec)
-	for i := 0; i < 20; i++ {
+	first, err := e.Register()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < 20; i++ {
 		if _, err := e.Register(); err != nil {
 			t.Fatal(err)
 		}
 	}
 	v := int64(1)
 	for i := 0; i < 512; i++ {
-		e.Push(0, e.AggOf(0), &v)
-		e.Done(0)
+		e.Push(first, e.AggOf(first.ID()), &v)
+		first.Done()
 	}
 	if got := e.DegreeEWMA(0); got != 1 {
 		t.Fatalf("degree EWMA after singleton freezes = %.2f, want 1", got)
@@ -145,6 +149,115 @@ func TestSessionRecycling(t *testing.T) {
 	}
 }
 
+// TestSessionRecordLifecycle: New allocates no session records, the
+// first Register of an id installs its chunk and record, and a Release
+// followed by a fresh Register of the same id hands back the same
+// record with its cadence reset and its hazard cleared.
+func TestSessionRecordLifecycle(t *testing.T) {
+	e := New(noopSpec(1, 40, true))
+	if got, want := len(e.dir), 3; got != want {
+		t.Fatalf("directory has %d chunk pointers for MaxThreads 40, want %d", got, want)
+	}
+	for c := range e.dir {
+		if e.dir[c].Load() != nil {
+			t.Fatalf("New installed directory chunk %d", c)
+		}
+	}
+	s, err := e.Register()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch := e.dir[0].Load()
+	if ch == nil || ch[s.ID()].Load() != s {
+		t.Fatal("first Register did not install its record in the directory")
+	}
+	if ch[s.ID()+1].Load() != nil {
+		t.Fatal("a record exists for an id that was never registered")
+	}
+	if e.dir[1].Load() != nil {
+		t.Fatal("Register installed a chunk no registered id lands in")
+	}
+
+	// Leave a cadence window open and a hazard published, then recycle
+	// the id.
+	s.SetDoneCadence(4)
+	v := int64(1)
+	e.Push(s, 0, &v)
+	s.Done()
+	if s.hz.Load() == nil || s.left != 3 {
+		t.Fatalf("hazard %p, %d Dones left after one under cadence 4, want published and 3", s.hz.Load(), s.left)
+	}
+	e.Release(s)
+	again, err := e.Register()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again != s {
+		t.Fatalf("re-Register of id %d returned a new record", s.ID())
+	}
+	if again.every != 0 || again.left != 0 {
+		t.Fatalf("recycled record cadence every=%d left=%d, want reset", again.every, again.left)
+	}
+	if again.hz.Load() != nil {
+		t.Fatal("recycled record still publishes a hazard")
+	}
+}
+
+// TestReclaimScanReachesLaterChunks: a hazard published by a session
+// whose record lives past the first directory chunk must keep its
+// batch in limbo through every reclaim scan. A scan that walked only
+// chunk 0 would recycle the batch out from under the session.
+func TestReclaimScanReachesLaterChunks(t *testing.T) {
+	e := New(noopSpec(1, 2*chunkSize, true))
+	var sessions []*Session[int64, struct{}]
+	for i := 0; i <= chunkSize; i++ {
+		s, err := e.Register()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sessions = append(sessions, s)
+	}
+	driver, parked := sessions[0], sessions[chunkSize]
+	if parked.ID() < chunkSize {
+		t.Fatalf("parked session id %d is in chunk 0", parked.ID())
+	}
+	// The parked session freezes a singleton batch and never calls
+	// Done, so its hazard keeps naming that (now retired) batch.
+	v := int64(1)
+	pinned := e.Push(parked, 0, &v).B
+	if parked.hz.Load() != pinned {
+		t.Fatal("parked session's hazard does not name its batch")
+	}
+	for i := 0; i < 4*reclaimPeriod; i++ {
+		e.Push(driver, 0, &v)
+		driver.Done()
+		if e.ActiveBatch(0) == pinned {
+			t.Fatalf("op %d: hazard-pinned batch was recycled and reinstalled", i)
+		}
+	}
+	if scans, _ := e.ReclaimStats(0); scans == 0 {
+		t.Fatal("no reclaim scan ran")
+	}
+	held := false
+	for _, b := range e.aggs[0].limbo {
+		held = held || b == pinned
+	}
+	if !held {
+		t.Fatal("hazard-pinned batch left limbo during a reclaim scan")
+	}
+	// Once the hazard drops, the next scans may reuse the batch.
+	parked.Done()
+	for i := 0; i < 4*reclaimPeriod && e.ActiveBatch(0) != pinned; i++ {
+		e.Push(driver, 0, &v)
+		driver.Done()
+	}
+	for _, b := range e.aggs[0].limbo {
+		if b == pinned {
+			t.Fatal("batch stayed in limbo after its hazard was cleared")
+		}
+	}
+}
+
 func TestMetricsOccupancyTwoSided(t *testing.T) {
 	m := metrics.NewSEC(1)
 	spec := noopSpec(1, 64, true)
@@ -201,54 +314,61 @@ type applyLog struct {
 // engine elected exactly one combiner per side per frozen batch - the
 // at-most-once applier contract every structure's applier relies on.
 func TestCombinerUniqueness(t *testing.T) {
-	var batches sync.Map // *Batch -> struct{}
+	// Batches are recycled, so the per-batch call counts are checked in
+	// the appliers and reset with each incarnation.
+	var applies, repeats atomic.Int64
 	e := New(Spec[int64, *applyLog]{
 		Aggregators: 2,
 		MaxThreads:  64,
 		FreezerSpin: 64,
 		Partitioned: true,
 		MakeData:    func(int) *applyLog { return &applyLog{} },
+		ResetData: func(p **applyLog) {
+			(*p).pushCalls.Store(0)
+			(*p).popCalls.Store(0)
+		},
 		ApplyPush: func(_ int, b *Batch[int64, *applyLog], _, _ int64) {
-			batches.Store(b, struct{}{})
-			b.Data.pushCalls.Add(1)
+			applies.Add(1)
+			if b.Data.pushCalls.Add(1) > 1 {
+				repeats.Add(1)
+			}
 		},
 		ApplyPop: func(_ int, b *Batch[int64, *applyLog], _, _ int64) {
-			batches.Store(b, struct{}{})
-			b.Data.popCalls.Add(1)
+			applies.Add(1)
+			if b.Data.popCalls.Add(1) > 1 {
+				repeats.Add(1)
+			}
 		},
 	})
 	const g, per = 8, 3000
 	var wg sync.WaitGroup
 	for w := 0; w < g; w++ {
-		id, err := e.Register()
+		s, err := e.Register()
 		if err != nil {
 			t.Fatal(err)
 		}
 		wg.Add(1)
-		go func(w, id int) {
+		go func(w int, s *Session[int64, *applyLog]) {
 			defer wg.Done()
 			val := int64(1)
-			agg := e.AggOf(id)
+			agg := e.AggOf(s.ID())
 			for i := 0; i < per; i++ {
 				if (w+i)%2 == 0 {
-					e.Push(id, agg, &val)
+					e.Push(s, agg, &val)
 				} else {
-					e.Pop(id, agg)
+					e.Pop(s, agg)
 				}
+				s.Done()
 			}
-		}(w, id)
+		}(w, s)
 	}
 	wg.Wait()
-	batches.Range(func(k, _ any) bool {
-		b := k.(*Batch[int64, *applyLog])
-		if n := b.Data.pushCalls.Load(); n > 1 {
-			t.Fatalf("push applier ran %d times on one batch", n)
-		}
-		if n := b.Data.popCalls.Load(); n > 1 {
-			t.Fatalf("pop applier ran %d times on one batch", n)
-		}
-		return true
-	})
+	if applies.Load() == 0 {
+		t.Fatal("no applier ran")
+	}
+	if n := repeats.Load(); n != 0 {
+		t.Fatalf("an applier ran more than once on one batch incarnation (%d repeats)", n)
+	}
 }
 
 // TestEliminationHandshake checks the elimination fast path end to end:
@@ -281,6 +401,10 @@ func TestEliminationHandshake(t *testing.T) {
 	var wg sync.WaitGroup
 	var eliminated atomic.Int64
 	for w := 0; w < g; w++ {
+		s, err := e.Register()
+		if err != nil {
+			t.Fatal(err)
+		}
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
@@ -288,12 +412,12 @@ func TestEliminationHandshake(t *testing.T) {
 			for i := 0; i < per; i++ {
 				if w%2 == 0 {
 					vals[i] = int64(w)<<32 | int64(i)
-					pt := e.Push(0, 0, &vals[i])
+					pt := e.Push(s, 0, &vals[i])
 					if pt.Eliminated {
 						eliminated.Add(1)
 					}
 				} else {
-					pt := e.Pop(0, 0)
+					pt := e.Pop(s, 0)
 					if pt.Elim != nil {
 						eliminated.Add(1)
 						if *pt.Elim>>32%2 != 0 {
@@ -302,6 +426,7 @@ func TestEliminationHandshake(t *testing.T) {
 						}
 					}
 				}
+				s.Done()
 			}
 		}(w)
 	}
@@ -345,7 +470,6 @@ func TestRecycledBatchAliasing(t *testing.T) {
 		Aggregators: 1,
 		MaxThreads:  4,
 		Partitioned: true,
-		Recycle:     true,
 		Eliminate:   NoElim,
 		MakeData:    func(n int) []int64 { return make([]int64, n) },
 		ResetData: func(p *[]int64) {
@@ -360,7 +484,7 @@ func TestRecycledBatchAliasing(t *testing.T) {
 		},
 		ApplyPop: func(int, *Batch[int64, []int64], int64, int64) {},
 	})
-	id, err := e.Register()
+	sess, err := e.Register()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,8 +502,8 @@ func TestRecycledBatchAliasing(t *testing.T) {
 			t.Fatalf("no batch recycled within %d freezes (free list bypassed)", 4*reclaimPeriod)
 		}
 		v := int64(i)
-		e.Push(id, 0, &v)
-		e.Done(id)
+		e.Push(sess, 0, &v)
+		sess.Done()
 		active = e.ActiveBatch(0)
 		if seen[active] {
 			break
@@ -412,11 +536,11 @@ func TestRecycledBatchAliasing(t *testing.T) {
 	// Refill: the recycled batch must serve a fresh value, not an
 	// aliased one from its first life.
 	v3 := int64(33)
-	pt := e.Push(id, 0, &v3)
+	pt := e.Push(sess, 0, &v3)
 	if got := pt.B.Data[pt.Seq]; got != 133 {
 		t.Fatalf("refilled recycled batch served %d, want 133", got)
 	}
-	e.Done(id)
+	sess.Done()
 }
 
 // TestAdaptiveSpinDecaysAndRegrows drives the freezer-backoff
@@ -490,17 +614,16 @@ func TestFixedSpinUnaffectedByController(t *testing.T) {
 // rather than allocate (the aliasing test covers reset-ness).
 func TestReclaimEpochAmortization(t *testing.T) {
 	spec := noopSpec(1, 8, true)
-	spec.Recycle = true
 	e := New(spec)
-	id, err := e.Register()
+	sess, err := e.Register()
 	if err != nil {
 		t.Fatal(err)
 	}
 	const ops = 200 // one freeze each: singleton batches
 	v := int64(1)
 	for i := 0; i < ops; i++ {
-		e.Push(id, 0, &v)
-		e.Done(id)
+		e.Push(sess, 0, &v)
+		sess.Done()
 		if l := e.LimboLen(0); l > limboHighWater {
 			t.Fatalf("limbo length %d exceeds high-water %d after op %d", l, limboHighWater, i)
 		}
@@ -524,38 +647,37 @@ func TestReclaimEpochAmortization(t *testing.T) {
 // of letting deferrals stack retired batches without limit.
 func TestReclaimEpochLimboBoundedUnderHazards(t *testing.T) {
 	spec := noopSpec(1, 16, true)
-	spec.Recycle = true
 	e := New(spec)
-	ids := make([]int, 8)
-	for i := range ids {
-		id, err := e.Register()
+	sessions := make([]*Session[int64, struct{}], 8)
+	for i := range sessions {
+		sess, err := e.Register()
 		if err != nil {
 			t.Fatal(err)
 		}
-		ids[i] = id
+		sessions[i] = sess
 	}
-	driver := ids[0]
+	driver := sessions[0]
 	v := int64(1)
 	// Park 7 sessions mid-operation: each announces (publishing its
 	// hazard) and completes, but never calls Done, so its last batch
 	// stays pinned in limbo across every scan.
-	for _, id := range ids[1:] {
-		e.Push(id, 0, &v)
+	for _, sess := range sessions[1:] {
+		e.Push(sess, 0, &v)
 	}
 	for i := 0; i < 100; i++ {
 		e.Push(driver, 0, &v)
-		e.Done(driver)
+		driver.Done()
 		if l := e.LimboLen(0); l > limboHighWater {
 			t.Fatalf("limbo length %d exceeds high-water %d with hazards parked", l, limboHighWater)
 		}
 	}
 	// Release the parked sessions; the next scans drain their batches.
-	for _, id := range ids[1:] {
-		e.Done(id)
+	for _, sess := range sessions[1:] {
+		sess.Done()
 	}
 	for i := 0; i < 2*reclaimPeriod; i++ {
 		e.Push(driver, 0, &v)
-		e.Done(driver)
+		driver.Done()
 	}
 	if l := e.LimboLen(0); l > limboHighWater {
 		t.Fatalf("limbo length %d after releasing hazards, want <= %d", l, limboHighWater)
@@ -587,12 +709,12 @@ func TestTryPopStealBypassesProtocol(t *testing.T) {
 			return true
 		},
 	})
-	id, err := e.Register()
+	sess, err := e.Register()
 	if err != nil {
 		t.Fatal(err)
 	}
 	before := e.ActiveBatch(1)
-	tk, ok := e.TryPop(id, 1)
+	tk, ok := e.TryPop(sess, 1)
 	if !ok {
 		t.Fatal("uncontended TryPop failed")
 	}
@@ -606,7 +728,7 @@ func TestTryPopStealBypassesProtocol(t *testing.T) {
 		t.Fatalf("TryPop fed the fast-path counters (%d/%d), want none", hits, misses)
 	}
 	contended.Store(true)
-	if _, ok := e.TryPop(id, 1); ok {
+	if _, ok := e.TryPop(sess, 1); ok {
 		t.Fatal("contended TryPop reported success")
 	}
 }
@@ -635,20 +757,20 @@ func TestSoloFastPathEngages(t *testing.T) {
 			return true
 		},
 	})
-	id, err := e.Register()
+	sess, err := e.Register()
 	if err != nil {
 		t.Fatal(err)
 	}
-	agg := e.AggOf(id)
+	agg := e.AggOf(sess.ID())
 	before := e.ActiveBatch(agg)
 	const n = 50
 	for i := 1; i <= n; i++ {
 		v := int64(1)
-		pt := e.Push(id, agg, &v)
+		pt := e.Push(sess, agg, &v)
 		if got := pt.B.Data[pt.Seq]; got != int64(i) {
 			t.Fatalf("op %d saw counter %d", i, got)
 		}
-		e.Done(id)
+		sess.Done()
 	}
 	hits, misses := e.FastPath(agg)
 	if hits != n || misses != 0 {
@@ -677,7 +799,7 @@ func TestSoloFallbackOnContention(t *testing.T) {
 		ApplyPop:    func(int, *Batch[int64, struct{}], int64, int64) {},
 		TrySoloPush: func(int, *Batch[int64, struct{}]) bool { return false }, // always contended
 	})
-	id, err := e.Register()
+	sess, err := e.Register()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -687,8 +809,8 @@ func TestSoloFallbackOnContention(t *testing.T) {
 	const n = 20
 	v := int64(1)
 	for i := 0; i < n; i++ {
-		e.Push(id, 0, &v)
-		e.Done(id)
+		e.Push(sess, 0, &v)
+		sess.Done()
 	}
 	if got := applied.Load(); got != n {
 		t.Fatalf("slow path applied %d ops, want all %d", got, n)
@@ -720,7 +842,6 @@ func TestAdaptiveRecyclingStress(t *testing.T) {
 		FreezerSpin: 64,
 		Partitioned: true,
 		Adaptive:    true,
-		Recycle:     true,
 		Eliminate:   NoElim,
 		ApplyPush: func(_ int, b *Batch[int64, struct{}], seq, pushAtF int64) {
 			state.Add(pushAtF - seq)
@@ -743,25 +864,25 @@ func TestAdaptiveRecyclingStress(t *testing.T) {
 	const g, per = 8, 2000
 	var wg sync.WaitGroup
 	for w := 0; w < g; w++ {
-		id, err := e.Register()
+		sess, err := e.Register()
 		if err != nil {
 			t.Fatal(err)
 		}
 		wg.Add(1)
-		go func(id int) {
+		go func(sess *Session[int64, struct{}]) {
 			defer wg.Done()
-			defer e.Release(id)
+			defer e.Release(sess)
 			val := int64(1)
 			for i := 0; i < per; i++ {
-				agg := e.AggOf(id)
+				agg := e.AggOf(sess.ID())
 				if i%2 == 0 {
-					e.Push(id, agg, &val)
+					e.Push(sess, agg, &val)
 				} else {
-					e.Pop(id, agg)
+					e.Pop(sess, agg)
 				}
-				e.Done(id)
+				sess.Done()
 			}
-		}(id)
+		}(sess)
 	}
 	wg.Wait()
 	if got := state.Load(); got != 0 {
@@ -798,23 +919,23 @@ func TestAdaptiveFullProtocolUnderContention(t *testing.T) {
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < g; w++ {
-		id, err := e.Register()
+		sess, err := e.Register()
 		if err != nil {
 			t.Fatal(err)
 		}
 		wg.Add(1)
-		go func(w, id int) {
+		go func(w int, sess *Session[int64, struct{}]) {
 			defer wg.Done()
 			val := int64(1)
 			for i := 0; i < per; i++ {
 				if w%2 == 0 {
-					e.Push(id, 0, &val)
+					e.Push(sess, 0, &val)
 				} else {
-					e.Pop(id, 0)
+					e.Pop(sess, 0)
 				}
-				e.Done(id)
+				sess.Done()
 			}
-		}(w, id)
+		}(w, sess)
 	}
 	wg.Wait()
 	snap := m.Snapshot()
@@ -850,15 +971,20 @@ func TestPushTicketSeq(t *testing.T) {
 		},
 		ApplyPop: func(int, *Batch[int64, []int64], int64, int64) {},
 	})
+	sess, err := e.Register()
+	if err != nil {
+		t.Fatal(err)
+	}
 	for v := int64(0); v < 50; v++ {
 		val := v
-		pt := e.Push(0, 0, &val)
+		pt := e.Push(sess, 0, &val)
 		if pt.Eliminated {
 			t.Fatal("NoElim engine eliminated a push")
 		}
 		if got := pt.B.Data[pt.Seq]; got != v+100 {
 			t.Fatalf("Data[%d] = %d, want %d", pt.Seq, got, v+100)
 		}
+		sess.Done()
 	}
 }
 
@@ -887,13 +1013,13 @@ func TestTryPushStealBypassesProtocol(t *testing.T) {
 			return true
 		},
 	})
-	id, err := e.Register()
+	sess, err := e.Register()
 	if err != nil {
 		t.Fatal(err)
 	}
 	before := e.ActiveBatch(1)
 	v := int64(7)
-	tk, ok := e.TryPush(id, 1, &v)
+	tk, ok := e.TryPush(sess, 1, &v)
 	if !ok {
 		t.Fatal("uncontended TryPush failed")
 	}
@@ -907,7 +1033,7 @@ func TestTryPushStealBypassesProtocol(t *testing.T) {
 		t.Fatalf("TryPush fed the fast-path counters (%d/%d), want none", hits, misses)
 	}
 	contended.Store(true)
-	if _, ok := e.TryPush(id, 1, &v); ok {
+	if _, ok := e.TryPush(sess, 1, &v); ok {
 		t.Fatal("contended TryPush reported success")
 	}
 	if got := sum.Load(); got != 7 {
@@ -915,7 +1041,7 @@ func TestTryPushStealBypassesProtocol(t *testing.T) {
 	}
 	// The miss path allocates nothing once the scratch batch exists: a
 	// sweep over many contended shards must be CAS-cost only.
-	if avg := testing.AllocsPerRun(200, func() { e.TryPush(id, 0, &v) }); avg > 0 {
+	if avg := testing.AllocsPerRun(200, func() { e.TryPush(sess, 0, &v) }); avg > 0 {
 		t.Fatalf("contended TryPush allocates %.2f allocs/op, want 0", avg)
 	}
 }
@@ -925,12 +1051,12 @@ func TestTryPushStealBypassesProtocol(t *testing.T) {
 // applied rather than panicking.
 func TestTryPushWithoutSoloApplier(t *testing.T) {
 	e := New(noopSpec(1, 4, true))
-	id, err := e.Register()
+	sess, err := e.Register()
 	if err != nil {
 		t.Fatal(err)
 	}
 	v := int64(1)
-	if _, ok := e.TryPush(id, 0, &v); ok {
+	if _, ok := e.TryPush(sess, 0, &v); ok {
 		t.Fatal("TryPush applied on an engine without a solo push applier")
 	}
 }

@@ -6,6 +6,10 @@
 // drift apart on defaults again (the seed had four divergent Options
 // structs with subtly different zero-value semantics).
 //
+// Only mechanisms that are measured choices get a knob here. Batch
+// recycling, for one, is not configurable: a measured ablation showed
+// it pays, so it is the engine's only freeze path.
+//
 // Zero-value handling: Default() bakes in the paper's evaluation
 // defaults; options overwrite fields directly. An option that would set
 // a nonsensical value clamps instead of failing, matching the seed's
@@ -57,10 +61,6 @@ type Config struct {
 	// structures (SEC stack, deque, funnel, queue) when an aggregator's
 	// recent batch degree is ~1.
 	Adaptive bool
-
-	// BatchRecycle retires frozen batches to per-aggregator free lists
-	// for reuse, so the steady-state freeze path allocates nothing.
-	BatchRecycle bool
 
 	// CollectMetrics enables the batching/elimination/combining degree
 	// counters behind the paper's Tables 1-3.
@@ -229,13 +229,6 @@ func WithRecycling() Option {
 // count is fixed at Aggregators either way.
 func WithAdaptive(on bool) Option {
 	return func(c *Config) { c.Adaptive = on }
-}
-
-// WithBatchRecycling toggles batch recycling: frozen batches retire to
-// per-aggregator free lists - slot arrays and payloads reused - so the
-// steady-state freeze path allocates nothing.
-func WithBatchRecycling(on bool) Option {
-	return func(c *Config) { c.BatchRecycle = on }
 }
 
 // WithMetrics enables degree counters (batching, elimination,

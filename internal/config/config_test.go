@@ -14,7 +14,7 @@ func TestDefaultsMatchPaper(t *testing.T) {
 	if c.NoElimination || c.Recycle || c.CollectMetrics {
 		t.Fatalf("boolean knobs default on: %+v", c)
 	}
-	if c.Adaptive || c.BatchRecycle {
+	if c.Adaptive {
 		t.Fatalf("adaptivity knobs default on: %+v", c)
 	}
 	if c.Shards != 4 {
@@ -33,7 +33,6 @@ func TestOptionsCompose(t *testing.T) {
 		config.WithShards(2),
 		config.WithInitial(-7),
 		config.WithAdaptive(true),
-		config.WithBatchRecycling(true),
 		nil, // nil options are tolerated
 	})
 	if c.Aggregators != 5 || c.MaxThreads != 32 || c.FreezerSpin != 0 {
@@ -42,7 +41,7 @@ func TestOptionsCompose(t *testing.T) {
 	if !c.NoElimination || !c.Recycle || !c.CollectMetrics {
 		t.Fatalf("boolean options dropped: %+v", c)
 	}
-	if !c.Adaptive || !c.BatchRecycle {
+	if !c.Adaptive {
 		t.Fatalf("adaptivity options dropped: %+v", c)
 	}
 	if c.Shards != 2 || c.Initial != -7 {

@@ -119,11 +119,6 @@ type Options struct {
 	// degree is ~1, falling back to the full batch protocol on
 	// contention. See DESIGN.md §8.
 	Adaptive bool
-
-	// BatchRecycle retires frozen batches to per-aggregator free lists
-	// for reuse - slot arrays and pop-chain payloads included - so the
-	// steady-state freeze path allocates nothing.
-	BatchRecycle bool
 }
 
 func (o Options) withDefaults() Options {
@@ -168,7 +163,6 @@ func New[T any](opts Options) *Stack[T] {
 		FreezerSpin:  o.FreezerSpin,
 		AdaptiveSpin: o.AdaptiveSpin,
 		Partitioned:  true,
-		Recycle:      o.BatchRecycle,
 		Adaptive:     o.Adaptive,
 		Eliminate:    eliminate,
 		ResetData:    s.resetChain,
@@ -193,18 +187,14 @@ func (s *Stack[T]) resetChain(p *popChain[T]) {
 // CollectMetrics was not set.
 func (s *Stack[T]) Metrics() *metrics.SEC { return s.eng.Metrics() }
 
-// Handle is one goroutine's session on the stack: its thread id maps
-// to its aggregator. Handles must not be shared between goroutines.
+// Handle is one goroutine's session on the stack: its engine session
+// record, whose thread id maps to its aggregator. Handles must not be
+// shared between goroutines.
 type Handle[T any] struct {
 	s      *Stack[T]
-	tid    int
+	sess   *agg.Session[node[T], popChain[T]]
 	rec    *ebr.Handle[node[T]] // nil when recycling is off
 	closed bool
-
-	// hz is the session's cached hazard slot (nil without batch
-	// recycling): the op-end Done bookkeeping runs through it inline
-	// instead of an engine call per operation.
-	hz *agg.HazardSlot[node[T], popChain[T]]
 
 	// spare is a scrubbed node recovered from a failed TryPush when no
 	// reclamation substrate exists to take it (rec == nil); the next
@@ -230,11 +220,11 @@ func (s *Stack[T]) Register() *Handle[T] {
 // TryRegister is Register with an error in place of the exhaustion
 // panic, for callers that prefer backpressure over crashing.
 func (s *Stack[T]) TryRegister() (*Handle[T], error) {
-	tid, err := s.eng.Register()
+	sess, err := s.eng.Register()
 	if err != nil {
 		return nil, fmt.Errorf("core: more than MaxThreads=%d handles live", s.eng.MaxThreads())
 	}
-	h := &Handle[T]{s: s, tid: tid, hz: s.eng.Hazard(tid)}
+	h := &Handle[T]{s: s, sess: sess}
 	if s.rec != nil {
 		h.rec = s.rec.Register()
 	}
@@ -244,12 +234,11 @@ func (s *Stack[T]) TryRegister() (*Handle[T], error) {
 // SetDoneCadence amortizes this handle's announcement: the session's
 // hazard is cleared on every k-th operation instead of every one, so
 // long runs on one aggregator skip the per-op publish-and-revalidate
-// (see agg.Engine.SetDoneCadence for the safety bound). The implicit
+// (see agg.Session.SetDoneCadence for the safety bound). The implicit
 // session layer sets it on its cached handles; explicit callers may
-// too when a handle lives for many operations. No-op without batch
-// recycling.
+// too when a handle lives for many operations.
 func (h *Handle[T]) SetDoneCadence(k int) {
-	h.s.eng.SetDoneCadence(h.tid, k)
+	h.sess.SetDoneCadence(k)
 }
 
 // Close releases the handle's thread id (and its reclamation slot) for
@@ -265,7 +254,7 @@ func (h *Handle[T]) Close() {
 	if h.rec != nil {
 		h.rec.Close()
 	}
-	h.s.eng.Release(h.tid)
+	h.s.eng.Release(h.sess)
 }
 
 // alloc produces an initialized node, recycled when possible (from the
@@ -314,10 +303,8 @@ func (h *Handle[T]) exit() {
 func (h *Handle[T]) Push(v T) {
 	h.enter()
 	eng := h.s.eng
-	eng.Push(h.tid, eng.AggOf(h.tid), h.alloc(v))
-	if hz := h.hz; hz != nil && hz.Tick() {
-		hz.Clear()
-	}
+	eng.Push(h.sess, eng.AggOf(h.sess.ID()), h.alloc(v))
+	h.sess.Done()
 	h.exit()
 }
 
@@ -348,23 +335,19 @@ func (s *Stack[T]) applyPush(_ int, b *secBatch[T], seq, pushAtF int64) {
 func (h *Handle[T]) Pop() (v T, ok bool) {
 	h.enter()
 	eng := h.s.eng
-	t := eng.Pop(h.tid, eng.AggOf(h.tid))
+	t := eng.Pop(h.sess, eng.AggOf(h.sess.ID()))
 	if t.Elim != nil {
 		// Eliminated: the paired push's node came straight from the
 		// elimination array.
 		val := t.Elim.value
 		h.retire(t.Elim)
-		if hz := h.hz; hz != nil && hz.Tick() {
-			hz.Clear()
-		}
+		h.sess.Done()
 		h.exit()
 		return val, true
 	}
 	v, ok = getValue(t.B, t.Off)
 	h.releaseSubstack(t.B, t.K)
-	if hz := h.hz; hz != nil && hz.Tick() {
-		hz.Clear() // finished with the batch's published chain
-	}
+	h.sess.Done() // finished with the batch's published chain
 	h.exit()
 	return v, ok
 }
@@ -383,7 +366,7 @@ func (h *Handle[T]) Pop() (v T, ok bool) {
 func (h *Handle[T]) TryPop() (v T, ok, applied bool) {
 	h.enter()
 	eng := h.s.eng
-	t, applied := eng.TryPop(h.tid, eng.AggOf(h.tid))
+	t, applied := eng.TryPop(h.sess, eng.AggOf(h.sess.ID()))
 	if !applied {
 		h.exit()
 		return v, false, false
@@ -410,7 +393,7 @@ func (h *Handle[T]) TryPush(v T) (applied bool) {
 	h.enter()
 	eng := h.s.eng
 	n := h.alloc(v)
-	if _, applied = eng.TryPush(h.tid, eng.AggOf(h.tid), n); !applied {
+	if _, applied = eng.TryPush(h.sess, eng.AggOf(h.sess.ID()), n); !applied {
 		// The node was never published; clear it and hand it straight
 		// back so a failed attempt costs no allocation in steady state.
 		var zero T

@@ -151,11 +151,10 @@ func RunDeque(cfg Config) Result {
 // RunPool measures an instrumented pool under cfg's mix: pushes map to
 // Put, pops to Get, and peeks to a borrow/return Get+Put pair - the
 // pool's natural read-modify cycle, since a pool offers no read-only
-// operation. Adaptivity and batch recycling are on (the configuration
-// the pool's steal primitives are designed around), so the snapshot's
-// put-steal columns are live exactly when overflow engages; the
-// snapshot merges the pool-level steal counters with the shards'
-// engine degrees.
+// operation. Adaptivity is on (the configuration the pool's steal
+// primitives are designed around), so the snapshot's put-steal columns
+// are live exactly when overflow engages; the snapshot merges the
+// pool-level steal counters with the shards' engine degrees.
 func RunPool(cfg Config) Result { return RunPoolOpts(cfg) }
 
 // RunPoolOpts is RunPool with extra pool options appended after the
@@ -169,7 +168,6 @@ func RunPoolOpts(cfg Config, opts ...pool.Option) Result {
 			pool.WithMetrics(),
 			pool.WithMaxThreads(cfg.Threads + 2),
 			pool.WithAdaptive(true),
-			pool.WithBatchRecycling(true),
 		}
 		p := pool.New[int64](append(base, opts...)...)
 		if cfg.Prefill > 0 {
@@ -208,8 +206,8 @@ func queueCapacity(cfg Config) int {
 // map to TryEnqueue, pops to TryDequeue (the channel-shaped
 // non-blocking forms - full rejections and empty misses count as
 // operations, exactly as a select/default does), peeks to Len.
-// Adaptivity and batch recycling are on, the configuration the
-// head-to-head against chan runs in.
+// Adaptivity is on, the configuration the head-to-head against chan
+// runs in.
 func RunQueue(cfg Config) Result {
 	return runStructure(cfg, func(cfg Config) (func(t int) structureOps, func() metrics.Snapshot) {
 		q := queue.New[int64](
@@ -217,7 +215,6 @@ func RunQueue(cfg Config) Result {
 			queue.WithMaxThreads(cfg.Threads+1),
 			queue.WithCapacity(queueCapacity(cfg)),
 			queue.WithAdaptive(true),
-			queue.WithBatchRecycling(true),
 		)
 		if cfg.Prefill > 0 {
 			h := q.Register()

@@ -110,9 +110,9 @@ type Config struct {
 	Aggregators int
 	// Shards is the pool's shard count (default 4).
 	Shards int
-	// Adaptive enables the engines' contention adaptivity and batch
-	// recycling (DESIGN.md §8): idle connections cost one CAS per op,
-	// fan-in freezes batches. On by default in cmd/secd.
+	// Adaptive enables the engines' contention adaptivity and the
+	// stack's node recycling (DESIGN.md §8): idle connections cost one
+	// CAS per op, fan-in freezes batches. On by default in cmd/secd.
 	Adaptive bool
 	// Elastic enables the pool's elastic shard controller (Shards
 	// becomes the ceiling) and wires the server's live-session gauge in
@@ -189,7 +189,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Adaptive {
 		common = append(common,
 			stack.WithAdaptive(true),
-			stack.WithBatchRecycling(true),
 			stack.WithRecycling(),
 		)
 	}

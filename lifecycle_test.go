@@ -127,7 +127,7 @@ func TestHandleChurnSECRecycling(t *testing.T) {
 // TestHandleChurnSECAdaptive repeats the SEC churn waves with the full
 // adaptivity stack on - solo fast path, batch recycling, node
 // recycling - and checks element conservation: handle
-// slots (and with them engine hazard slots and solo scratch batches)
+// slots (and with them engine session records and solo scratch batches)
 // recycle across goroutine generations while batches recycle across
 // freezes. Run with -race; the hazard handoff between a retiring
 // batch's last reader and the freezer that reuses it is exactly the
@@ -136,7 +136,6 @@ func TestHandleChurnSECAdaptive(t *testing.T) {
 	s := stack.NewSEC[int64](
 		stack.WithMaxThreads(churnMaxThreads),
 		stack.WithAdaptive(true),
-		stack.WithBatchRecycling(true),
 		stack.WithRecycling(),
 	)
 	var pushed, popped int64

@@ -24,7 +24,6 @@ func TestAllocCeilingPutOverflowHit(t *testing.T) {
 	p := New[int64](
 		WithShards(4),
 		WithAdaptive(true),
-		WithBatchRecycling(true),
 		WithRecycling(),
 	)
 	h := p.Register()
@@ -59,7 +58,6 @@ func TestAllocCeilingElasticSteadyState(t *testing.T) {
 		WithShards(4),
 		WithElasticShards(true),
 		WithElasticPeriod(64),
-		WithBatchRecycling(true),
 		WithRecycling(),
 	)
 	h := p.Register()
@@ -90,7 +88,6 @@ func TestAllocCeilingPutSoloHome(t *testing.T) {
 	p := New[int64](
 		WithShards(4),
 		WithAdaptive(true),
-		WithBatchRecycling(true),
 		WithRecycling(),
 	)
 	h := p.Register()

@@ -29,7 +29,6 @@ func BenchmarkPutOverflow(b *testing.B) {
 		return New[int64](append([]Option{
 			WithShards(4),
 			WithAdaptive(true),
-			WithBatchRecycling(true),
 			WithRecycling(),
 		}, opts...)...)
 	}
@@ -90,7 +89,6 @@ func BenchmarkElasticOverhead(b *testing.B) {
 		p := New[int64](append([]Option{
 			WithShards(4),
 			WithAdaptive(true),
-			WithBatchRecycling(true),
 			WithRecycling(),
 		}, opts...)...)
 		h := p.Register()

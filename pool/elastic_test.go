@@ -229,7 +229,6 @@ func TestElasticChurnWaves(t *testing.T) {
 		WithShards(4),
 		WithElasticShards(true),
 		WithElasticPeriod(32),
-		WithBatchRecycling(true),
 		WithAdaptiveSpin(true),
 		WithMetrics(),
 	)

@@ -36,6 +36,10 @@
 // drain-then-fence protocol, when every live shard runs solo with idle
 // steal counters. See Handle.sync and Pool.maybeScale for the
 // protocol.
+//
+// Each shard's engine always recycles its frozen batches, so a Put or
+// Get that falls back to the full batch protocol allocates nothing on
+// the freeze path.
 package pool
 
 import (
@@ -206,10 +210,6 @@ func WithAdaptiveSpin(on bool) Option { return config.WithAdaptiveSpin(on) }
 // shrink signal reads the shards' solo-mode bits.
 func WithAdaptive(on bool) Option { return config.WithAdaptive(on) }
 
-// WithBatchRecycling toggles batch recycling in the pool's SEC shards,
-// so their steady-state freeze paths allocate nothing.
-func WithBatchRecycling(on bool) Option { return config.WithBatchRecycling(on) }
-
 // WithPutOverflow sets the Put-overflow threshold: after this many
 // consecutive home-shard solo-CAS losses, a handle's Puts sweep the
 // foreign shards with the TryPush steal primitive before falling back
@@ -313,7 +313,6 @@ func New[T any](opts ...Option) *Pool[T] {
 			AdaptiveSpin:   c.AdaptiveSpin,
 			Recycle:        c.Recycle,
 			Adaptive:       c.Adaptive,
-			BatchRecycle:   c.BatchRecycle,
 			CollectMetrics: c.CollectMetrics,
 		})
 	}

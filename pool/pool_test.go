@@ -169,7 +169,6 @@ func TestStealChurnWaves(t *testing.T) {
 		WithMaxThreads(maxThreads),
 		WithShards(3),
 		WithAdaptive(true),
-		WithBatchRecycling(true),
 		WithAdaptiveSpin(true),
 	)
 	var put int64
@@ -340,7 +339,6 @@ func TestPutOverflowChurnWaves(t *testing.T) {
 		WithShards(3),
 		WithPutOverflow(1),
 		WithAdaptive(true),
-		WithBatchRecycling(true),
 		WithRecycling(),
 		WithMetrics(),
 	)

@@ -54,7 +54,6 @@ func BenchmarkQueueVsChannel(b *testing.B) {
 			q := queue.New[int64](
 				queue.WithCapacity(capacity),
 				queue.WithAdaptive(true),
-				queue.WithBatchRecycling(true),
 			)
 			handles := make([]*queue.Handle[int64], deg)
 			for w := range handles {
@@ -81,7 +80,6 @@ func BenchmarkQueueVsChannel(b *testing.B) {
 			q := queue.New[int64](
 				queue.WithCapacity(capacity),
 				queue.WithAdaptive(true),
-				queue.WithBatchRecycling(true),
 			)
 			b.ReportAllocs()
 			benchWorkers(b, deg, func(w int, i int64) {
@@ -110,7 +108,7 @@ func BenchmarkQueueVsChannel(b *testing.B) {
 // TryEnqueue against a permanently full one.
 func BenchmarkQueueTryMiss(b *testing.B) {
 	b.Run("dequeue-empty", func(b *testing.B) {
-		q := queue.New[int64](queue.WithAdaptive(true), queue.WithBatchRecycling(true))
+		q := queue.New[int64](queue.WithAdaptive(true))
 		h := q.Register()
 		defer h.Close()
 		b.ReportAllocs()
@@ -120,7 +118,7 @@ func BenchmarkQueueTryMiss(b *testing.B) {
 	})
 	b.Run("enqueue-full", func(b *testing.B) {
 		q := queue.New[int64](queue.WithCapacity(8),
-			queue.WithAdaptive(true), queue.WithBatchRecycling(true))
+			queue.WithAdaptive(true))
 		h := q.Register()
 		defer h.Close()
 		for i := int64(0); i < 8; i++ {

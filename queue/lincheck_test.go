@@ -68,16 +68,17 @@ func TestQueueLinearizabilityVariants(t *testing.T) {
 		"BigSpin": {queue.WithFreezerSpin(2048)},
 		// Contention adaptivity (DESIGN.md §8): solo-CAS applies race
 		// full batch-protocol ones on the same ring.
-		"Adaptive":     {queue.WithAdaptive(true)},
-		"BatchRecycle": {queue.WithBatchRecycling(true)},
-		"AdaptiveRecycle": {queue.WithAdaptive(true), queue.WithBatchRecycling(true),
-			queue.WithMetrics()},
+		"Adaptive": {queue.WithAdaptive(true)},
+		// Frozen batches are always recycled; one aggregator with no
+		// freezer spin cycles them through a single free list as fast
+		// as the checker's threads can freeze them.
+		"BatchRecycle":    {queue.WithAggregators(1), queue.WithFreezerSpin(0)},
+		"AdaptiveRecycle": {queue.WithAdaptive(true), queue.WithMetrics()},
 		// Adaptive freezer backoff (DESIGN.md §9): freeze timing retunes
 		// mid-history.
 		"AdaptiveSpin":    {queue.WithAdaptiveSpin(true)},
 		"AdaptiveSpinBig": {queue.WithAdaptiveSpin(true), queue.WithFreezerSpin(2048)},
-		"Everything": {queue.WithAdaptive(true), queue.WithBatchRecycling(true),
-			queue.WithAdaptiveSpin(true), queue.WithAggregators(3)},
+		"Everything":      {queue.WithAdaptive(true), queue.WithAdaptiveSpin(true), queue.WithAggregators(3)},
 	}
 	for name, opt := range variants {
 		name, opt := name, opt
@@ -110,7 +111,7 @@ func TestQueueLinearizabilityRecycledHandleSlots(t *testing.T) {
 	)
 	for r := 0; r < rounds; r++ {
 		q := queue.New[int64](queue.WithCapacity(lcCap), queue.WithMaxThreads(threads),
-			queue.WithAdaptive(true), queue.WithBatchRecycling(true))
+			queue.WithAdaptive(true))
 		rec := lincheck.NewQRecorder(threads)
 		var wg sync.WaitGroup
 		for tt := 0; tt < threads; tt++ {
@@ -195,9 +196,8 @@ func runQHistoryImplicit(q *queue.Queue[int64], threads, opsPer int, seed uint64
 // slot scavenging into the histories.
 func TestQueueLinearizabilityImplicitOnly(t *testing.T) {
 	variants := map[string][]queue.Option{
-		"Default": nil,
-		"Adaptive": {queue.WithAdaptive(true), queue.WithBatchRecycling(true),
-			queue.WithAnnounceEvery(1)},
+		"Default":    nil,
+		"Adaptive":   {queue.WithAdaptive(true), queue.WithAnnounceEvery(1)},
 		"NoAffinity": {queue.WithImplicitSessions(false)},
 		"TightCap":   {queue.WithMaxThreads(4)},
 	}

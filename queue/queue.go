@@ -24,10 +24,11 @@
 // Capacity is exact: WithCapacity(n) admits at most n elements, an
 // enqueue into a full queue returns false, and a dequeue of an empty
 // queue returns (zero, false) - the non-blocking halves of a buffered
-// channel's select/default contract. The engine's lifecycle and its
-// optional adaptivity (WithAdaptive solo fast path, WithBatchRecycling,
-// WithAdaptiveSpin) are documented in internal/agg and DESIGN.md
-// §8-§10 and §15.
+// channel's select/default contract. Frozen batches - slot arrays and
+// both response tables - are always recycled, so the freeze path
+// allocates nothing in steady state. The engine's lifecycle and its
+// optional adaptivity (WithAdaptive solo fast path, WithAdaptiveSpin)
+// are documented in internal/agg and DESIGN.md §8-§10 and §15.
 package queue
 
 import (
@@ -128,11 +129,6 @@ func WithMetrics() Option { return config.WithMetrics() }
 // full protocol when the lock is contended.
 func WithAdaptive(on bool) Option { return config.WithAdaptive(on) }
 
-// WithBatchRecycling toggles batch recycling: frozen batches (slot
-// arrays and response tables) retire to per-shard free lists for
-// reuse, so the steady-state freeze path allocates nothing.
-func WithBatchRecycling(on bool) Option { return config.WithBatchRecycling(on) }
-
 // WithImplicitSessions toggles the per-P affinity tier behind the
 // handle-free Enqueue/Dequeue/TryEnqueue/TryDequeue methods (default
 // on); see the stack package's option of the same name.
@@ -157,7 +153,6 @@ func New[T any](opts ...Option) *Queue[T] {
 		FreezerSpin:  c.FreezerSpin,
 		AdaptiveSpin: c.AdaptiveSpin,
 		Partitioned:  true,
-		Recycle:      c.BatchRecycle,
 		Adaptive:     c.Adaptive,
 		// FIFO semantics forbid in-batch elimination: a dequeue must
 		// observe the oldest element, not its batch-mate's enqueue, so
@@ -174,7 +169,7 @@ func New[T any](opts ...Option) *Queue[T] {
 		TrySoloPop:  q.trySoloDequeue,
 		Metrics:     m,
 	})
-	// Cached implicit handles publish their hazard slot once per
+	// Cached implicit handles clear their hazard once per
 	// AnnounceEvery ops (amortized announcement); explicit handles keep
 	// the engine's eager per-op clear.
 	q.cache = isession.New(c.ImplicitAffinity, func() (*Handle[T], error) {
@@ -182,7 +177,7 @@ func New[T any](opts ...Option) *Queue[T] {
 		if err != nil {
 			return nil, err
 		}
-		q.eng.SetDoneCadence(h.id, c.AnnounceEvery)
+		h.sess.SetDoneCadence(c.AnnounceEvery)
 		return h, nil
 	}, func(h *Handle[T]) { h.Close() })
 	return q
@@ -204,8 +199,8 @@ func (q *Queue[T]) Metrics() *metrics.SEC { return q.eng.Metrics() }
 // goroutines, and should be Closed when their goroutine is done so the
 // handle slot recycles.
 type Handle[T any] struct {
-	q  *Queue[T]
-	id int
+	q    *Queue[T]
+	sess *agg.Session[T, results[T]] // nil once closed
 
 	// scratch is the announcement slot for this handle's enqueues: the
 	// engine stores &scratch into the batch, and the combiner (or solo
@@ -232,11 +227,11 @@ func (q *Queue[T]) Register() *Handle[T] {
 // panic - the same contract the stack, deque, pool and funnel packages
 // offer.
 func (q *Queue[T]) TryRegister() (*Handle[T], error) {
-	id, err := q.eng.Register()
+	sess, err := q.eng.Register()
 	if err != nil {
 		return nil, ErrExhausted
 	}
-	return &Handle[T]{q: q, id: id}, nil
+	return &Handle[T]{q: q, sess: sess}, nil
 }
 
 // Enqueue adds v at the tail through a cached per-P handle, reporting
@@ -278,11 +273,11 @@ func (q *Queue[T]) TryDequeue() (T, bool) {
 // Close releases the handle's slot for reuse by a future Register.
 // Close is idempotent; any other use of a closed handle is a bug.
 func (h *Handle[T]) Close() {
-	if h.id < 0 {
+	if h.sess == nil {
 		return
 	}
-	h.q.eng.Release(h.id)
-	h.id = -1
+	h.q.eng.Release(h.sess)
+	h.sess = nil
 }
 
 // Enqueue adds v at the tail, reporting false if the queue was full at
@@ -291,9 +286,9 @@ func (h *Handle[T]) Close() {
 func (h *Handle[T]) Enqueue(v T) bool {
 	h.scratch = v
 	eng := h.q.eng
-	t := eng.Push(h.id, eng.AggOf(h.id), &h.scratch)
+	t := eng.Push(h.sess, eng.AggOf(h.sess.ID()), &h.scratch)
 	ok := t.B.Data.enq[t.Seq]
-	eng.Done(h.id) // finished with the batch's response table
+	h.sess.Done() // finished with the batch's response table
 	return ok
 }
 
@@ -301,9 +296,9 @@ func (h *Handle[T]) Enqueue(v T) bool {
 // queue was empty when the combiner served this operation.
 func (h *Handle[T]) Dequeue() (v T, ok bool) {
 	eng := h.q.eng
-	t := eng.Pop(h.id, eng.AggOf(h.id))
+	t := eng.Pop(h.sess, eng.AggOf(h.sess.ID()))
 	r := t.B.Data.deq[t.Off]
-	eng.Done(h.id) // finished with the batch's response table
+	h.sess.Done() // finished with the batch's response table
 	return r.v, r.ok
 }
 
@@ -315,7 +310,7 @@ func (h *Handle[T]) Dequeue() (v T, ok bool) {
 func (h *Handle[T]) TryEnqueue(v T) bool {
 	h.scratch = v
 	eng := h.q.eng
-	if t, ok := eng.TryPush(h.id, eng.AggOf(h.id), &h.scratch); ok {
+	if t, ok := eng.TryPush(h.sess, eng.AggOf(h.sess.ID()), &h.scratch); ok {
 		return t.B.Data.enq[0] // solo apply: no announcement, no Done
 	}
 	return h.Enqueue(v)
@@ -328,7 +323,7 @@ func (h *Handle[T]) TryEnqueue(v T) bool {
 // contract).
 func (h *Handle[T]) TryDequeue() (T, bool) {
 	eng := h.q.eng
-	if t, ok := eng.TryPop(h.id, eng.AggOf(h.id)); ok {
+	if t, ok := eng.TryPop(h.sess, eng.AggOf(h.sess.ID())); ok {
 		r := t.B.Data.deq[0] // solo apply: no announcement, no Done
 		return r.v, r.ok
 	}

@@ -116,7 +116,6 @@ func TestQueueHandleChurnWaves(t *testing.T) {
 		queue.WithMaxThreads(maxThreads),
 		queue.WithCapacity(64),
 		queue.WithAdaptive(true),
-		queue.WithBatchRecycling(true),
 	)
 	var enq, deq int64
 	var mu sync.Mutex
@@ -182,7 +181,6 @@ func TestQueueConservation(t *testing.T) {
 	q := queue.New[int64](
 		queue.WithCapacity(128), // small: keeps full-queue rejections in play
 		queue.WithAdaptive(true),
-		queue.WithBatchRecycling(true),
 		queue.WithMetrics(),
 	)
 	var wg sync.WaitGroup

@@ -150,20 +150,22 @@ func TestLinearizabilitySECVariants(t *testing.T) {
 		"Everything":  {stack.WithAggregators(3), stack.WithRecycling(), stack.WithMetrics(), stack.WithFreezerSpin(512)},
 		"NoElimRecyc": {stack.WithoutElimination(), stack.WithRecycling()},
 		// Contention adaptivity (DESIGN.md §8): the solo fast path races
-		// directly-CASing operations against full batch-protocol ones,
-		// and batch recycling reuses frozen batches under the checker.
+		// directly-CASing operations against full batch-protocol ones.
+		// Frozen batches are always recycled; one aggregator with no
+		// freezer spin cycles them through a single free list as fast as
+		// the checker's threads can freeze them.
 		"Adaptive":        {stack.WithAdaptive(true)},
-		"AdaptiveRecycle": {stack.WithAdaptive(true), stack.WithBatchRecycling(true), stack.WithRecycling()},
-		"BatchRecycle":    {stack.WithBatchRecycling(true)},
-		"AdaptiveAgg5":    {stack.WithAdaptive(true), stack.WithAggregators(5), stack.WithBatchRecycling(true)},
+		"AdaptiveRecycle": {stack.WithAdaptive(true), stack.WithRecycling()},
+		"BatchRecycle":    {stack.WithAggregators(1), stack.WithFreezerSpin(0)},
+		"AdaptiveAgg5":    {stack.WithAdaptive(true), stack.WithAggregators(5)},
 		// Adaptive freezer backoff (DESIGN.md §9): the per-aggregator
 		// spin controller retunes the freeze timing mid-history; alone,
-		// stacked on the solo fast path + batch recycling (freeze timing
+		// stacked on the solo fast path + node recycling (freeze timing
 		// interacts with hazard publication), and with a large ceiling so
 		// histories straddle grown and decayed spins.
 		"AdaptiveSpin":     {stack.WithAdaptiveSpin(true)},
 		"AdaptiveSpinBig":  {stack.WithAdaptiveSpin(true), stack.WithFreezerSpin(2048)},
-		"AdaptiveSpinFull": {stack.WithAdaptiveSpin(true), stack.WithAdaptive(true), stack.WithBatchRecycling(true), stack.WithRecycling()},
+		"AdaptiveSpinFull": {stack.WithAdaptiveSpin(true), stack.WithAdaptive(true), stack.WithRecycling()},
 	}
 	for name, opt := range variants {
 		name, opt := name, opt
@@ -229,11 +231,10 @@ func runHistoryImplicit(s stack.Stack[int64], threads, opsPer int, seed uint64) 
 // histories too.
 func TestLinearizabilityImplicitOnly(t *testing.T) {
 	variants := map[string][]stack.Option{
-		"Default":  nil,
-		"Adaptive": {stack.WithAdaptive(true), stack.WithBatchRecycling(true), stack.WithRecycling()},
-		"EagerAnnounce": {stack.WithAdaptive(true), stack.WithBatchRecycling(true),
-			stack.WithRecycling(), stack.WithAnnounceEvery(1)},
-		"NoAffinity": {stack.WithImplicitSessions(false)},
+		"Default":       nil,
+		"Adaptive":      {stack.WithAdaptive(true), stack.WithRecycling()},
+		"EagerAnnounce": {stack.WithAdaptive(true), stack.WithRecycling(), stack.WithAnnounceEvery(1)},
+		"NoAffinity":    {stack.WithImplicitSessions(false)},
 		// MaxThreads == goroutine count: once every session is minted,
 		// an op landing on a P with an empty slot must scavenge one
 		// parked under another P instead of registering.
@@ -314,18 +315,16 @@ func runHistoryPutSteal(s *stack.SECStack[int64], threads, opsPer int, seed uint
 
 // TestLinearizabilityPutSteal checks the steal primitives against the
 // exhaustive checker across the SEC knobs they interact with: stock
-// batching, adaptivity (steals race solo CASes and mode flips), batch
-// recycling (scratch batches alongside recycled protocol batches),
-// node recycling (steals draw from and retire into EBR pools), and
+// batching (scratch batches alongside recycled protocol batches),
+// adaptivity (steals race solo CASes and mode flips), node recycling (steals draw from and retire into EBR pools), and
 // many shards under adaptive spin.
 func TestLinearizabilityPutSteal(t *testing.T) {
 	variants := map[string][]stack.Option{
 		"PutSteal":         nil,
-		"PutStealAdaptive": {stack.WithAdaptive(true), stack.WithBatchRecycling(true)},
+		"PutStealAdaptive": {stack.WithAdaptive(true)},
 		"PutStealRecycle":  {stack.WithRecycling()},
 		"PutStealAgg5":     {stack.WithAggregators(5), stack.WithAdaptive(true)},
-		"PutStealFull": {stack.WithAdaptive(true), stack.WithBatchRecycling(true),
-			stack.WithRecycling(), stack.WithAdaptiveSpin(true)},
+		"PutStealFull":     {stack.WithAdaptive(true), stack.WithRecycling(), stack.WithAdaptiveSpin(true)},
 	}
 	for name, opt := range variants {
 		name, opt := name, opt

@@ -53,12 +53,6 @@ func WithRecycling() Option { return config.WithRecycling() }
 // aggregator count stays WithAggregators. See DESIGN.md §8.
 func WithAdaptive(on bool) Option { return config.WithAdaptive(on) }
 
-// WithBatchRecycling toggles batch recycling in the batch-protocol
-// structures: frozen batches retire to per-aggregator free lists (slot
-// arrays and payloads reused once no operation can still hold them),
-// so the steady-state freeze path allocates nothing. See DESIGN.md §8.
-func WithBatchRecycling(on bool) Option { return config.WithBatchRecycling(on) }
-
 // WithMetrics enables the batching/elimination/combining degree and
 // batch-occupancy counters behind the paper's Tables 1-3, retrievable
 // via SECStack.Metrics. The deque and funnel packages honour the same

@@ -35,9 +35,10 @@
 // funnel packages alias the same option type, so one vocabulary
 // configures the whole repository (README.md carries the full
 // option-by-structure matrix). SEC's engine-level knobs - adaptivity
-// (WithAdaptive), batch recycling (WithBatchRecycling), the adaptive
-// freezer backoff (WithAdaptiveSpin) - are documented on their options
-// below and in DESIGN.md §8-§10.
+// (WithAdaptive) and the adaptive freezer backoff (WithAdaptiveSpin) -
+// are documented on their options below and in DESIGN.md §8-§10. Batch
+// recycling is not a knob: SEC always reuses its frozen batches, so the
+// freeze path allocates nothing in steady state.
 package stack
 
 import (
@@ -278,7 +279,6 @@ func NewSEC[T any](opts ...Option) *SECStack[T] {
 		Recycle:        c.Recycle,
 		CollectMetrics: c.CollectMetrics,
 		Adaptive:       c.Adaptive,
-		BatchRecycle:   c.BatchRecycle,
 	})}
 	register := func() Handle[T] { return st.s.Register() }
 	// Cached implicit handles publish their hazard slot once per
